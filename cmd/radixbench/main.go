@@ -78,7 +78,7 @@ func main() {
 	run := func(name string) jsonExp {
 		switch name {
 		case "table1":
-			return jsonExp{Name: name, Text: harness.Table1(".")}
+			return jsonExp{Name: name, Text: harness.Table1(harness.ModuleRoot())}
 		case "fig4":
 			return jsonExp{Name: name, Tables: []*harness.Table{harness.Fig4(o)}}
 		case "fig5":

@@ -388,9 +388,18 @@ func (as *AddressSpace) pageFault(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bo
 		cpu.Acquire(&as.lock)
 		cur = as.findRegion(cpu, vpn)
 		if cur == nil {
-			as.mmu.PageTable().Unmap(cpu, vpn)
+			// Drop whichever frame the PTE holds now, not ours: the
+			// munmap that removed the region may already have cleared
+			// and dropped our frame, and another faulter may since have
+			// filled the PTE with its own.
+			var stale *mem.Frame
+			as.mmu.PageTable().UnmapRangeFunc(cpu, vpn, vpn+1, func(_, pfn uint64) {
+				stale = as.alloc.ByPFN(pfn)
+			})
 			as.mmu.ShootdownTLBOnly(cpu, vpn, vpn+1, as.activeSet())
-			as.alloc.DecRef(cpu, frame)
+			if stale != nil {
+				as.alloc.DecRef(cpu, stale)
+			}
 			cpu.Release(&as.lock)
 			return vm.ErrSegv
 		}

@@ -136,7 +136,7 @@ func TestSNZIRootContentionGrowsWithCores(t *testing.T) {
 		m := hw.NewMachine(hw.TestConfig(ncores))
 		s := NewSNZI(m, 0)
 		const iters = 500
-		hw.RunGang(m, ncores, 500, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGangDet(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 			for k := 0; k < iters; k++ {
 				s.Inc(c)
 				s.Dec(c)

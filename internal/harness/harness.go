@@ -443,7 +443,7 @@ func structureBench(title string, o Options, writerCounts []int, build func(m *h
 			var lookups [hw.MaxCores]uint64
 			var readersDone atomic.Int64
 			m.ResetStats()
-			hw.RunGangDet(m, n, 3000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGangDet(m, n, func(c *hw.CPU, g *hw.Gang) {
 				r := rand.New(rand.NewSource(int64(c.ID() + 7)))
 				if c.ID() < readers {
 					// Warm: two passes over the key space.
@@ -515,7 +515,7 @@ func Fig8(o Options) *Table {
 			var ops [hw.MaxCores]uint64
 			e.M.ResetStats()
 			start := e.M.MaxClock()
-			hw.RunGangDet(e.M, n, 4000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGangDet(e.M, n, func(c *hw.CPU, g *hw.Gang) {
 				lo := uint64(c.ID()*4+4) << 18
 				for k := 0; k < iters; k++ {
 					mustNil(as.Mmap(c, lo, 1, vm.MapOpts{Prot: vm.ProtRead, File: file}))

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,28 @@ func TestTable1CountsSources(t *testing.T) {
 	if !strings.Contains(out, "Radix tree") || strings.Contains(out, "source not found") {
 		t.Errorf("Table1 failed to count sources:\n%s", out)
 	}
+}
+
+// TestTable1FromAnyDirectory: table1 finds the module root from the
+// package directory (the test's working directory) and from a directory
+// outside the source tree.
+func TestTable1FromAnyDirectory(t *testing.T) {
+	check := func(where string) {
+		out := Table1(ModuleRoot())
+		if !strings.Contains(out, "Radix tree") || strings.Contains(out, "source not found") {
+			t.Errorf("Table1 from %s failed to count sources:\n%s", where, out)
+		}
+	}
+	check("the package directory")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	check("a directory outside the module")
 }
 
 func TestStructureBenchSeries(t *testing.T) {

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 )
 
 // Table1 reports the line counts of this reproduction's major components,
 // mirroring the paper's Table 1 (radix tree 1376, Refcache 932, MMU
 // abstraction 889, syscall interface 632 in the sv6 prototype). root is
-// the repository root (".") — the counts are computed from source, so the
-// tool must run inside the source tree; otherwise an explanatory note is
-// returned.
+// the repository root (see ModuleRoot) — the counts are computed from
+// source; a component whose source is missing gets an explanatory note.
 func Table1(root string) string {
 	components := []struct {
 		name string
@@ -68,4 +68,37 @@ func countGoLines(dir string) int {
 		total += strings.Count(string(data), "\n")
 	}
 	return total
+}
+
+// ModuleRoot returns the root of the radixvm module: the nearest directory
+// at or above the working directory whose go.mod declares module radixvm,
+// else the one above this source file as compiled, else ".".
+func ModuleRoot() string {
+	if wd, err := os.Getwd(); err == nil {
+		if root, ok := findModuleRoot(wd); ok {
+			return root
+		}
+	}
+	if _, file, _, ok := runtime.Caller(0); ok {
+		if root, ok := findModuleRoot(filepath.Dir(file)); ok {
+			return root
+		}
+	}
+	return "."
+}
+
+// findModuleRoot walks up from dir to the first go.mod declaring module
+// radixvm. Other modules on the way (such as vmbench's) are skipped.
+func findModuleRoot(dir string) (string, bool) {
+	for {
+		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+		if err == nil && strings.HasPrefix(string(data), "module radixvm\n") {
+			return dir, true
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", false
+		}
+		dir = parent
+	}
 }

@@ -31,18 +31,14 @@ func NewBarrier(n int) *Barrier {
 }
 
 // Wait blocks cpu until all n members have arrived, then aligns cpu's
-// virtual clock with the slowest member. If the members are also gang
-// members, pass the gang so the waiter is suspended from it — otherwise a
-// core parked at the barrier pins the gang's minimum clock and cores still
-// ahead of it deadlock in Sync.
+// virtual clock with the slowest member. Gang members pass their gang: under
+// the deterministic schedule the waiter parks through the token machinery
+// (a member blocking in real time there would hold the token forever).
+// Outside it (g nil or the free-running RunGang) the wait is in real time.
 func (b *Barrier) Wait(cpu *CPU, g *Gang) {
 	if g != nil && g.det != nil {
 		g.det.barrier(cpu, b)
 		return
-	}
-	if g != nil {
-		g.Leave(cpu)
-		defer g.Join(cpu)
 	}
 	b.wait(cpu)
 }

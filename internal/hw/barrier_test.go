@@ -46,7 +46,7 @@ func TestBarrierSequentialGenerations(t *testing.T) {
 func TestBarrierWithGang(t *testing.T) {
 	m := NewMachine(TestConfig(3))
 	b := NewBarrier(3)
-	RunGang(m, 3, 100, func(c *CPU, g *Gang) {
+	RunGangDet(m, 3, func(c *CPU, g *Gang) {
 		for k := 0; k < 20; k++ {
 			c.Tick(uint64(50 * (c.ID() + 1)))
 			g.Sync(c)

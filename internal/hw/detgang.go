@@ -5,19 +5,19 @@ import "sync"
 // detSched runs a gang's members as a sequential discrete-event schedule:
 // exactly one member executes at a time, and at every yield point (Sync,
 // Barrier.Wait, idle parking) the scheduler hands the token to the runnable
-// member with the lowest (virtual clock, core ID). Virtual-time arithmetic is
-// untouched — members still overlap in virtual time exactly as under the
-// parallel gang — but the *real* order in which overlapping operations
+// member with the lowest (virtual clock, core ID). Members still overlap in
+// virtual time, but the *real* order in which overlapping operations
 // resolve (home-node gate folds, seqlock outcomes, mailbox enqueues)
-// becomes a pure function of virtual time. That is what makes figure
-// outputs byte-stable across runs: the parallel gang bounds virtual skew
-// but still lets the Go scheduler pick which of two virtually-concurrent
-// line transfers folds first, and the gate's answer depends on that order.
+// becomes a pure function of virtual time, which is what makes every
+// figure byte-stable across runs. Lowest-clock-first also bounds skew by
+// construction: a member runs ahead of the slowest runnable one by at most
+// one inter-Sync chunk.
 //
-// The parallel gang (RunGang) remains the way unit and stress tests drive
-// the simulator, so the functional code keeps real-concurrency coverage
-// under the race detector; figures use RunGangDet so the paper's numbers
-// are reproducible bit-for-bit.
+// This is the only runner that makes virtual-time claims: every figure,
+// the public radixvm.Machine.RunGang and every test that asserts virtual
+// time run here, directly (RunGangDet) or through hw.Sched. The
+// free-running RunGang (gang.go) exists only so the functional code keeps
+// real-concurrency coverage under the race detector.
 //
 // Members may hold no hw.Lock or other real mutex across a yield point
 // (Sync/Barrier/idle park) — all workloads yield only at top level, between
@@ -218,14 +218,6 @@ func (d *detSched) finish(c *CPU) {
 	d.handoffLocked(id, false)
 }
 
-// newDetGang builds a gang wired to a fresh deterministic schedule over
-// cores [0, ncores) of m.
-func newDetGang(m *Machine, ncores int, quantum uint64) *Gang {
-	g := NewGang(quantum)
-	g.det = newDetSched(m, ncores)
-	return g
-}
-
 // runDet launches fn on every member of a det gang and waits. The initial
 // token goes to the lowest (clock, ID) member before any member starts,
 // so the first runner — and the whole schedule — is deterministic.
@@ -246,12 +238,10 @@ func runDet(g *Gang, m *Machine, ncores int, fn func(cpu *CPU, g *Gang)) {
 	wg.Wait()
 }
 
-// RunGangDet runs fn(cpu) on cores [0, ncores) of m like RunGang, but under
-// the deterministic sequential schedule: same fn signature, same virtual-
-// time semantics for Sync/Barrier, bit-identical output across runs.
-// The quantum is accepted for signature parity with RunGang and ignored —
-// the schedule's lowest-clock-first policy bounds skew to one inter-Sync
-// chunk by construction.
-func RunGangDet(m *Machine, ncores int, quantum uint64, fn func(cpu *CPU, g *Gang)) {
-	runDet(newDetGang(m, ncores, quantum), m, ncores, fn)
+// RunGangDet runs fn(cpu) on cores [0, ncores) of m under the
+// deterministic sequential schedule and waits for completion: Sync and
+// Barrier.Wait are token hand-offs, and the output is bit-identical across
+// runs.
+func RunGangDet(m *Machine, ncores int, fn func(cpu *CPU, g *Gang)) {
+	runDet(&Gang{det: newDetSched(m, ncores)}, m, ncores, fn)
 }

@@ -289,12 +289,12 @@ func (s *Sched) enqueueLocked(p *Proc) {
 	if p.pin >= 0 {
 		s.ensurePin(p.pin)
 		s.pinq[p.pin] = insertBySeq(s.pinq[p.pin], p)
-		if s.g != nil && s.g.det != nil {
+		if s.g != nil { // nil until Run starts
 			s.g.det.wakeIdleCore(p.pin)
 		}
 	} else {
 		s.runq = insertBySeq(s.runq, p)
-		if s.g != nil && s.g.det != nil {
+		if s.g != nil { // nil until Run starts
 			s.g.det.wakeIdleOne()
 		}
 	}
@@ -335,7 +335,7 @@ func popFront(q []*Proc) []*Proc {
 // Run executes the scheduled machine on cores [0, ncores) of m under the
 // deterministic gang and returns when every proc has finished and every
 // arrival has been folded. A Sched runs once; build a fresh one per run.
-func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
+func (s *Sched) Run(m *Machine, ncores int) {
 	s.mu.Lock()
 	if s.running {
 		s.mu.Unlock()
@@ -353,7 +353,7 @@ func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
 	s.running = true
 	s.ncores = ncores
 	s.active = ncores
-	g := newDetGang(m, ncores, quantum)
+	g := &Gang{det: newDetSched(m, ncores)}
 	s.g = g
 	s.mu.Unlock()
 	runDet(g, m, ncores, func(c *CPU, g *Gang) { s.worker(c, g) })

@@ -23,7 +23,7 @@ func TestSchedPinnedGangEquivalence(t *testing.T) {
 
 	mg := NewMachine(TestConfig(ncores))
 	var lg Line
-	RunGangDet(mg, ncores, 1000, func(c *CPU, g *Gang) {
+	RunGangDet(mg, ncores, func(c *CPU, g *Gang) {
 		body(c, &lg, func() { g.Sync(c) })
 	})
 
@@ -35,7 +35,7 @@ func TestSchedPinnedGangEquivalence(t *testing.T) {
 			body(tc.CPU(), &ls, tc.Yield)
 		})
 	}
-	s.Run(ms, ncores, 1000)
+	s.Run(ms, ncores)
 
 	for id := 0; id < ncores; id++ {
 		if g, sc := mg.CPU(id).Now(), ms.CPU(id).Now(); g != sc {
@@ -72,7 +72,7 @@ func TestSchedMigration(t *testing.T) {
 			}
 		})
 	}
-	s.Run(m, ncores, 1000)
+	s.Run(m, ncores)
 	migrated := false
 	for i, set := range cores {
 		if len(set) == 0 {
@@ -114,7 +114,7 @@ func TestSchedParkWake(t *testing.T) {
 		tc.Sched().Wake(consumer)
 		tc.Sched().Wake(consumer) // consumer is ready: arms wakePending
 	})
-	s.Run(m, 2, 1000)
+	s.Run(m, 2)
 	want := []string{"consumer-park", "producer-wake", "consumer-woke", "consumer-done"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -151,7 +151,7 @@ func TestSchedQueueCapDefersArrivals(t *testing.T) {
 			t.Errorf("second arrival folded with no deferral recorded; backlog never gated it")
 		}
 	})
-	s.Run(m, 2, 1000)
+	s.Run(m, 2)
 	if folded != 2 {
 		t.Errorf("folded %d arrivals, want 2", folded)
 	}
@@ -186,7 +186,7 @@ func TestSchedIdleArrivalAdoption(t *testing.T) {
 			})
 		})
 	}
-	s.Run(m, ncores, 1000)
+	s.Run(m, ncores)
 	if late.Load() != 0 {
 		t.Errorf("%d arrivals folded below their stamp", late.Load())
 	}

@@ -92,12 +92,13 @@ type Allocator struct {
 	pageZero uint64                       // m.Config().PageZero, hoisted out of Alloc
 	freeFn   func(*hw.CPU, *refcache.Obj) // shared free callback (frame in Obj.Data)
 
-	nextPFN atomic.Uint64
-	lists   []freelist
+	lists []freelist
 
 	allocated atomic.Int64 // live frames
 	totals    atomic.Int64 // frames ever created
 
+	// regMu also assigns PFNs: a frame's PFN is its registry slot, taken
+	// under the same lock that appends it.
 	regMu    sync.RWMutex
 	registry []*Frame // pfn-1 -> frame (append-only)
 }
@@ -138,9 +139,9 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 	}
 	fl.mu.Unlock()
 	if f == nil {
-		f = &Frame{PFN: a.nextPFN.Add(1), Home: id}
 		a.totals.Add(1)
 		a.regMu.Lock()
+		f = &Frame{PFN: uint64(len(a.registry)) + 1, Home: id}
 		a.registry = append(a.registry, f)
 		a.regMu.Unlock()
 	}

@@ -156,3 +156,25 @@ func TestAllocRecycledFrameZeroAlloc(t *testing.T) {
 		t.Errorf("Created = %d, want 1 (every cycle reused the same frame)", created)
 	}
 }
+
+// TestConcurrentAllocPFNRegistry: frames allocated concurrently on every
+// core must each be registered under their own PFN, or ByPFN hands a
+// munmap or COW break another core's frame.
+func TestConcurrentAllocPFNRegistry(t *testing.T) {
+	const ncores, per = 8, 500
+	m, _, a := newAlloc(ncores)
+	frames := make([][]*Frame, ncores)
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
+		for k := 0; k < per; k++ {
+			frames[c.ID()] = append(frames[c.ID()], a.Alloc(c))
+			g.Sync(c)
+		}
+	})
+	for _, fs := range frames {
+		for _, f := range fs {
+			if got := a.ByPFN(f.PFN); got != f {
+				t.Fatalf("ByPFN(%d) returned a different frame", f.PFN)
+			}
+		}
+	}
+}

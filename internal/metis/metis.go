@@ -146,7 +146,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 	bar := hw.NewBarrier(cores)
 	perCore := cfg.Words / cores
 
-	hw.RunGang(env.M, cores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGangDet(env.M, cores, func(c *hw.CPU, g *hw.Gang) {
 		id := c.ID()
 		// --- Map phase: parse the chunk, spill (word, pos) by bucket.
 		gen := wordGen{state: cfg.Seed + uint64(id)*0x9E3779B97F4A7C15, vocab: uint64(cfg.Vocab)}
@@ -165,7 +165,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 			}
 			b.emit(sys, c, entry{word: w, pos: pos})
 			c.Tick(cfg.MapCost)
-			// Sync tightly: the gang must interleave cores at fault
+			// Sync tightly: the schedule must interleave cores at fault
 			// granularity or one core's burst of faults keeps the
 			// address-space lock line locally owned, hiding the
 			// contention the real machine would see.

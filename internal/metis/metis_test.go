@@ -3,6 +3,7 @@ package metis
 import (
 	"testing"
 
+	"radixvm/internal/bonsaivm"
 	"radixvm/internal/hw"
 	"radixvm/internal/linuxvm"
 	"radixvm/internal/mem"
@@ -83,5 +84,35 @@ func TestScalesOnRadixVM(t *testing.T) {
 	one, four := run(1), run(4)
 	if four < one*2 {
 		t.Errorf("metis did not scale on radixvm: %0.0f -> %0.0f jobs/hour", one, four)
+	}
+}
+
+// TestDeterministicRepeatedRun: Metis runs on the deterministic schedule,
+// so two 8-core runs of the same job return the same Result and the same
+// machine Stats, contended cells included.
+func TestDeterministicRepeatedRun(t *testing.T) {
+	const cores = 8
+	systems := []func(env *workload.Env, a *mem.Allocator) vm.System{
+		func(env *workload.Env, a *mem.Allocator) vm.System { return vm.New(env.M, env.RC, a, nil) },
+		func(env *workload.Env, a *mem.Allocator) vm.System { return bonsaivm.New(env.M, env.RC, a) },
+		func(env *workload.Env, a *mem.Allocator) vm.System { return linuxvm.New(env.M, env.RC, a) },
+	}
+	for _, mk := range systems {
+		env, a := newEnv(cores)
+		t.Run(mk(env, a).Name(), func(t *testing.T) {
+			run := func() (Result, hw.Stats) {
+				env, a := newEnv(cores)
+				r := Run(env, mk(env, a), cores, tinyConfig())
+				return r, env.M.TotalStats()
+			}
+			r1, s1 := run()
+			r2, s2 := run()
+			if r1 != r2 {
+				t.Errorf("results differ:\n%+v\n%+v", r1, r2)
+			}
+			if s1 != s2 {
+				t.Errorf("stats differ:\n%+v\n%+v", s1, s2)
+			}
+		})
 	}
 }

@@ -123,7 +123,7 @@ func TestQuickAgainstMapModel(t *testing.T) {
 func TestConcurrentDisjointKeys(t *testing.T) {
 	const ncores = 8
 	m, l := newList(ncores)
-	hw.RunGang(m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		rng := rand.New(rand.NewSource(int64(c.ID())))
 		base := uint64(c.ID()) * 1000
 		for k := 0; k < 300; k++ {
@@ -154,7 +154,7 @@ func TestConcurrentSameKeyLinearizes(t *testing.T) {
 	// given generation wins, and the list never holds duplicates.
 	const ncores = 4
 	m, l := newList(ncores)
-	hw.RunGang(m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		rng := rand.New(rand.NewSource(int64(c.ID() + 100)))
 		for k := 0; k < 200; k++ {
 			l.Insert(c, rng, 42, ptr(c.ID()))
@@ -190,7 +190,7 @@ func TestReadersDegradeUnderWriters(t *testing.T) {
 			}
 		}
 		m.ResetStats()
-		hw.RunGang(m, ncores, 3000, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGangDet(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 			r := rand.New(rand.NewSource(int64(c.ID())))
 			if c.ID() < readers {
 				for k := 0; k < 300; k++ {

@@ -242,7 +242,7 @@ func TestGangForkVsConcurrentWrite(t *testing.T) {
 		t.Run(sys.Name(), func(t *testing.T) {
 			must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			children := make([]vm.System, 0, 20)
-			hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 				if c.ID() == 0 {
 					for k := 0; k < 20; k++ {
 						ch, err := sys.Fork(c)
@@ -305,7 +305,7 @@ func TestGangCOWFaultVsMunmap(t *testing.T) {
 				}
 				childSys, err := sys.Fork(c0)
 				must(t, err)
-				hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+				hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 					if c.ID() == 0 {
 						c.Tick(uint64(500 * (round + 1)))
 						mustT(t, childSys.Munmap(c, lo, npages))

@@ -239,7 +239,7 @@ func TestLazyGangForkVsConcurrentWrite(t *testing.T) {
 	sys := lazySpace(w)
 	must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	children := make([]vm.System, 0, 20)
-	hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		if c.ID() == 0 {
 			for k := 0; k < 20; k++ {
 				ch, err := sys.Fork(c)
@@ -296,7 +296,7 @@ func TestLazyGangCOWFaultVsMunmap(t *testing.T) {
 		}
 		childSys, err := sys.Fork(c0)
 		must(t, err)
-		hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 			if c.ID() == 0 {
 				c.Tick(uint64(500 * (round + 1)))
 				mustT(t, childSys.Munmap(c, lo, npages))

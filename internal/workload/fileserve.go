@@ -256,7 +256,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 			}
 		})
 	}
-	s.Run(env.M, cores, 4000)
+	s.Run(env.M, cores)
 
 	// Drain the refcache to quiescence: pages the truncates killed and the
 	// teardowns dereferenced sit in per-core delta caches and review

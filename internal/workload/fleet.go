@@ -214,7 +214,7 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 			}
 		})
 	}
-	s.Run(env.M, cores, 4000)
+	s.Run(env.M, cores)
 
 	lats := make([]uint64, 0, cfg.Procs)
 	for _, p := range procs {

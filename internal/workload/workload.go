@@ -68,11 +68,11 @@ func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 // core's single pinned proc at the same virtual instants the old per-
 // workload gang loops synced at (Ctx.Yield is where the bodies called
 // g.Sync), charges no switch cost for redispatching the same proc, and
-// therefore reproduces the pre-scheduler figures byte-for-byte. Figures
-// run under the deterministic sequential gang so every cell is a pure
-// function of the op stream — byte-stable across runs and byte-gateable
-// in CI. The parallel gang (hw.RunGang) remains the harness for tests,
-// which want real concurrency under -race.
+// therefore reproduces the pre-scheduler figures byte-for-byte. The
+// scheduler runs on the deterministic sequential schedule, so every cell
+// is a pure function of the op stream — byte-stable across runs and
+// byte-gateable in CI. Nothing here runs on the free-running hw.RunGang,
+// which only drives -race stress tests.
 func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw.Ctx) uint64) Result {
 	var writes [hw.MaxCores]uint64
 	if warm != nil {
@@ -80,7 +80,7 @@ func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw
 		for i := 0; i < cores; i++ {
 			s.Spawn(i, func(tc *hw.Ctx) { warm(tc) })
 		}
-		s.Run(env.M, cores, 4000)
+		s.Run(env.M, cores)
 	}
 	env.M.ResetStats()
 	start := env.M.MaxClock()
@@ -89,7 +89,7 @@ func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw
 		i := i
 		s.Spawn(i, func(tc *hw.Ctx) { writes[i] = body(tc) })
 	}
-	s.Run(env.M, cores, 4000)
+	s.Run(env.M, cores)
 	var total uint64
 	for i := 0; i < cores; i++ {
 		total += writes[i]
@@ -212,9 +212,9 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 				mustNil(sys.Access(c, regionBase+uint64(off), true))
 				writes++
 				// Yield every access: contended fill faults cost
-				// thousands of cycles each, so coarser syncs would
-				// let virtual clocks skew past the gang quantum and
-				// serialize the whole phase spuriously.
+				// thousands of cycles each, so coarser yields would
+				// let one core run that far ahead between hand-offs
+				// and serialize the whole phase spuriously.
 				tc.Yield()
 			}
 			tc.Wait(bar)

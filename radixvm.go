@@ -59,8 +59,7 @@ type (
 	Prot = vm.Prot
 	// File is a mappable page-cache-backed object.
 	File = vm.File
-	// Gang keeps simulated cores' virtual clocks in step; use it when
-	// driving several cores concurrently.
+	// Gang is the yield handle of a core driven by Machine.RunGang.
 	Gang = hw.Gang
 )
 
@@ -166,9 +165,10 @@ func (m *Machine) MaxClock() uint64 { return m.hw.MaxClock() }
 // LiveFrames returns the number of physical frames currently allocated.
 func (m *Machine) LiveFrames() int64 { return m.alloc.Live() }
 
-// RunGang runs fn concurrently on cores [0, n), keeping their virtual
-// clocks within a bounded skew; fn must call g.Sync(cpu) once per loop
-// iteration.
+// RunGang runs fn on cores [0, n) under the deterministic schedule: one
+// core executes at a time, and at each g.Sync(cpu) the core with the lowest
+// virtual clock runs next, so the result is identical across runs. fn must
+// call g.Sync(cpu) once per loop iteration.
 func (m *Machine) RunGang(n int, fn func(cpu *CPU, g *Gang)) {
-	hw.RunGang(m.hw, n, hw.DefaultQuantum, fn)
+	hw.RunGangDet(m.hw, n, fn)
 }

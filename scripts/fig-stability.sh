@@ -3,12 +3,14 @@
 # across two back-to-back runs, with no masked cells. The simulator is
 # deterministic end-to-end: remote IPI cycle charges travel through
 # virtual-time-stamped per-core mailboxes (drained in stamp order at clock
-# crossings), and figure workloads run under the deterministic sequential
-# gang schedule (hw.RunGangDet), which resolves virtually-concurrent
-# operations in (virtual clock, core ID) order instead of whatever order
-# the Go scheduler happens to pick. Any new real-time dependency — a
-# map-iteration-order leak, an unstamped cycle charge, a raced lock fold —
-# breaks this gate.
+# crossings), and every experiment runs under the deterministic sequential
+# schedule (hw.RunGangDet, or hw.Sched.Run on top of it), which resolves
+# virtually-concurrent operations in (virtual clock, core ID) order instead
+# of whatever order the Go scheduler happens to pick. That includes Metis
+# (fig4 and the §5.4 memory experiment); the free-running hw.RunGang is
+# for -race stress tests only and produces no figure. Any new real-time
+# dependency — a map-iteration-order leak, an unstamped cycle charge, a
+# raced lock fold — breaks this gate.
 #
 # The 64-core scale smoke runs under a wall-clock budget (default 300 s,
 # override with FIG_SMOKE_BUDGET) so a simulator-side real-time scaling
@@ -28,10 +30,15 @@ full_budget=$((budget * 2))
 gen() {
   out="$1"
   mkdir -p "$out"
+  go run ./cmd/radixbench -exp table1 >"$out/table1.txt"
+  go run ./cmd/radixbench -exp fig4 -quick >"$out/fig4.txt"
   go run ./cmd/radixbench -exp fig5 -cores 1 >"$out/fig5_1core.txt"
+  go run ./cmd/radixbench -exp fig6 -quick >"$out/fig6.txt"
   go run ./cmd/radixbench -exp fig7 -quick >"$out/fig7.txt"
   go run ./cmd/radixbench -exp fig8 -quick >"$out/fig8.txt"
+  go run ./cmd/radixbench -exp fig9 -quick >"$out/fig9.txt"
   go run ./cmd/radixbench -exp table2 >"$out/table2.txt"
+  go run ./cmd/radixbench -exp memory >"$out/memory.txt"
   go run ./cmd/radixbench -exp mprotect -quick >"$out/mprotect.txt"
   go run ./cmd/radixbench -exp fork -quick >"$out/fork.txt"
   go run ./cmd/radixbench -exp spawn -quick >"$out/spawn.txt"
@@ -47,6 +54,8 @@ diff -ru "$dir/run1" "$dir/run2"
 echo "figure outputs are byte-identical across two runs"
 
 # The committed full-resolution figures must also regenerate byte-for-byte:
+#   - figures/fig4.txt — Metis (the paper's Figure 4), the last workload
+#     moved off the free-running gang onto the deterministic schedule,
 #   - figures/scale.txt — the paper's central claim (radixvm's slope holds
 #     to 64 cores while the broadcast baselines flatten),
 #   - figures/clone.txt — the O(1) generation fork's headline,
@@ -58,7 +67,7 @@ echo "figure outputs are byte-identical across two runs"
 #   - figures/filemap.txt — the shared page cache: per-page sharer-set
 #     shootdowns, refcache review pressure, and the broadcast baselines'
 #     IPI bill, all through the concurrent fleet scheduler.
-for fig in scale clone spawn fleet filemap; do
+for fig in fig4 scale clone spawn fleet filemap; do
   timeout "$full_budget" go run ./cmd/radixbench -exp "$fig" >"$dir/${fig}_full.txt"
   diff -u "figures/${fig}.txt" "$dir/${fig}_full.txt"
   echo "committed figures/${fig}.txt regenerates byte-identically"
