@@ -2,6 +2,7 @@ package harness
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,35 @@ func TestTable1FromAnyDirectory(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 	check("a directory outside the module")
+}
+
+// TestTable1CoversEveryPackage: every package directory under internal/
+// (one holding a non-test .go file) belongs to exactly one Table 1
+// component, so a refactor cannot move lines out of the count.
+func TestTable1CoversEveryPackage(t *testing.T) {
+	owner := map[string]string{}
+	for _, comp := range table1Components {
+		for _, d := range comp.dirs {
+			if prev, ok := owner[d]; ok {
+				t.Errorf("%s is in both %q and %q", d, prev, comp.name)
+			}
+			owner[d] = comp.name
+		}
+	}
+	root := ModuleRoot()
+	entries, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		d := "internal/" + e.Name()
+		if !e.IsDir() || countGoLines(filepath.Join(root, d)) == 0 {
+			continue
+		}
+		if _, ok := owner[d]; !ok {
+			t.Errorf("package %s belongs to no Table 1 component", d)
+		}
+	}
 }
 
 func TestStructureBenchSeries(t *testing.T) {

@@ -8,24 +8,28 @@ import (
 	"strings"
 )
 
+// table1Components assigns every package directory under internal/ to
+// exactly one Table 1 component (TestTable1CoversEveryPackage checks it),
+// so moving code between packages never moves it out of the count.
+var table1Components = []struct {
+	name string
+	dirs []string
+}{
+	{"Radix tree", []string{"internal/radix"}},
+	{"Refcache", []string{"internal/refcache"}},
+	{"MMU abstraction", []string{"internal/pagetable", "internal/tlb"}},
+	{"Syscall interface (VM ops)", []string{"internal/vm"}},
+	{"Machine model", []string{"internal/hw", "internal/mem"}},
+	{"Baselines", []string{"internal/basevm", "internal/linuxvm", "internal/bonsaivm", "internal/rbtree", "internal/bonsai", "internal/skiplist", "internal/counter"}},
+	{"Workloads & harness", []string{"internal/workload", "internal/metis", "internal/falloc", "internal/layout", "internal/harness"}},
+}
+
 // Table1 reports the line counts of this reproduction's major components,
 // mirroring the paper's Table 1 (radix tree 1376, Refcache 932, MMU
 // abstraction 889, syscall interface 632 in the sv6 prototype). root is
 // the repository root (see ModuleRoot) — the counts are computed from
 // source; a component whose source is missing gets an explanatory note.
 func Table1(root string) string {
-	components := []struct {
-		name string
-		dirs []string
-	}{
-		{"Radix tree", []string{"internal/radix"}},
-		{"Refcache", []string{"internal/refcache"}},
-		{"MMU abstraction", []string{"internal/pagetable", "internal/tlb"}},
-		{"Syscall interface (VM ops)", []string{"internal/vm"}},
-		{"Machine model", []string{"internal/hw", "internal/mem"}},
-		{"Baselines", []string{"internal/linuxvm", "internal/bonsaivm", "internal/rbtree", "internal/bonsai", "internal/skiplist", "internal/counter"}},
-		{"Workloads & harness", []string{"internal/workload", "internal/metis", "internal/falloc", "internal/layout", "internal/harness"}},
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table 1: major component line counts (non-test Go) ==\n")
 	fmt.Fprintf(&b, "%-28s %8s   %s\n", "component", "lines", "paper (sv6 prototype)")
@@ -35,7 +39,7 @@ func Table1(root string) string {
 		"MMU abstraction":            "889",
 		"Syscall interface (VM ops)": "632",
 	}
-	for _, comp := range components {
+	for _, comp := range table1Components {
 		total := 0
 		for _, d := range comp.dirs {
 			total += countGoLines(filepath.Join(root, d))

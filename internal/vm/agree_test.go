@@ -12,11 +12,11 @@ import (
 // TestSystemsAgreeOnRandomOps is a cross-system differential oracle: it
 // drives radixvm, linux and bonsai in lockstep through seeded single-core
 // sequences of Mmap, Munmap and Mprotect over partially overlapping ranges
-// (some file-backed, protections down to Prot(0)), Fork (continuing in the
-// child) and read/write Access, and requires every operation's error to
-// agree across all three. The figures map fresh ranges and unmap whole
-// regions; this covers the region-split, file-offset and copy-on-write
-// paths they never reach.
+// (some file-backed, protections down to Prot(0)), truncation of the
+// shared file, Fork (continuing in the child) and read/write Access, and
+// requires every operation's error to agree across all three. The figures
+// map fresh ranges and unmap whole regions; this covers the region-split,
+// file-offset, revocation and copy-on-write paths they never reach.
 func TestSystemsAgreeOnRandomOps(t *testing.T) {
 	const (
 		seeds  = 200
@@ -33,6 +33,7 @@ func TestSystemsAgreeOnRandomOps(t *testing.T) {
 		c := m0(w)
 		syss := systems(w)
 		file := vm.NewFile(w.alloc)
+		file.Truncate(c, 24) // offsets past EOF fault: file offsets are observable
 		rng := rand.New(rand.NewSource(seed))
 		var trace []string
 		for op := 0; op < ops; op++ {
@@ -56,7 +57,17 @@ func TestSystemsAgreeOnRandomOps(t *testing.T) {
 			case r < 52:
 				desc = fmt.Sprintf("Mprotect(%d, %d, %v)", lo, n, prot)
 				do = func(s vm.System) (vm.System, error) { return s, s.Mprotect(c, lo, n, prot) }
-			case r < 56:
+			case r < 59:
+				// One file shared by all three systems: the truncate
+				// revokes through every registered mapper, so a system
+				// that missed a registration keeps a stale translation.
+				n = uint64(8 + rng.Intn(32))
+				grow := n + uint64(rng.Intn(16))
+				desc = fmt.Sprintf("Truncate(%d), Extend(%d)", n, grow)
+				file.Truncate(c, n)
+				file.Extend(grow)
+				do = func(s vm.System) (vm.System, error) { return s, nil }
+			case r < 63:
 				desc = "Fork"
 				do = func(s vm.System) (vm.System, error) {
 					ch, err := s.Fork(c)

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
@@ -690,6 +691,85 @@ func TestGangMprotectVsFaultRace(t *testing.T) {
 				must(t, sys.Access(w.m.CPU(id), lo+1, true))
 			}
 		})
+	}
+}
+
+// TestGangRemapAndPartialMunmapVsFault checks that a region update never
+// uncovers a page that stays mapped throughout it. Core 0 rewrites the
+// region metadata around the pages [lo, lo+watch) while the other cores
+// call PageFault on them; those pages are mapped before, during and after
+// every update, so any ErrSegv means a lock-free faulter read a published
+// index with a transient hole. Arm (a) re-Mmaps over the live range (old
+// region out, new region in); arm (b) unmaps the tail page of a 600-page
+// region one page at a time, leaving a left remainder each time.
+func TestGangRemapAndPartialMunmapVsFault(t *testing.T) {
+	const ncores = 4
+	const lo, watch, big = uint64(9000), uint64(8), uint64(600)
+	rw := vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}
+	arms := []struct {
+		name   string
+		setup  func(c *hw.CPU, sys vm.System) error
+		update func(c *hw.CPU, sys vm.System, k int) (more bool, err error)
+	}{
+		{"remap",
+			func(c *hw.CPU, sys vm.System) error { return sys.Mmap(c, lo, watch, rw) },
+			func(c *hw.CPU, sys vm.System, k int) (bool, error) {
+				return k < 300, sys.Mmap(c, lo, watch, rw)
+			}},
+		{"partial-munmap",
+			func(c *hw.CPU, sys vm.System) error { return sys.Mmap(c, lo, big, rw) },
+			func(c *hw.CPU, sys vm.System, k int) (bool, error) {
+				tail := lo + big - 1 - uint64(k)
+				return tail > lo+2*watch, sys.Munmap(c, tail, 1)
+			}},
+	}
+	for _, arm := range arms {
+		for i := range systems(newWorld(ncores)) {
+			w := newWorld(ncores)
+			sys := systems(w)[i]
+			faulter := sys.(interface {
+				PageFault(cpu *hw.CPU, vpn uint64, write bool) error
+			})
+			t.Run(arm.name+"/"+sys.Name(), func(t *testing.T) {
+				must(t, arm.setup(w.m.CPU(0), sys))
+				var done atomic.Bool
+				var started, segvs, others atomic.Int64
+				hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
+					if c.ID() == 0 {
+						defer done.Store(true)
+						for started.Load() < ncores-1 {
+							g.Sync(c) // start updating only once every faulter runs
+						}
+						for k := 0; ; k++ {
+							more, err := arm.update(c, sys, k)
+							mustT(t, err)
+							w.rc.Maintain(c)
+							g.Sync(c)
+							if !more {
+								return
+							}
+						}
+					}
+					started.Add(1)
+					for k := 0; !done.Load(); k++ {
+						switch err := faulter.PageFault(c, lo+uint64(k)%watch, false); {
+						case errors.Is(err, vm.ErrSegv):
+							segvs.Add(1)
+						case err != nil:
+							others.Add(1)
+						}
+						w.rc.Maintain(c)
+						g.Sync(c)
+					}
+				})
+				if n := segvs.Load(); n != 0 {
+					t.Errorf("%d spurious ErrSegv faults on pages mapped throughout", n)
+				}
+				if n := others.Load(); n != 0 {
+					t.Errorf("%d unexpected fault errors on readable pages", n)
+				}
+			})
+		}
 	}
 }
 
