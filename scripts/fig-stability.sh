@@ -1,16 +1,26 @@
 #!/usr/bin/env bash
-# Figure-stability gate: every virtual-time figure must be byte-identical
-# across two back-to-back runs, with no masked cells. The simulator is
-# deterministic end-to-end: remote IPI cycle charges travel through
-# virtual-time-stamped per-core mailboxes (drained in stamp order at clock
-# crossings), and every experiment runs under the deterministic sequential
-# schedule (hw.RunGangDet, or hw.Sched.Run on top of it), which resolves
-# virtually-concurrent operations in (virtual clock, core ID) order instead
-# of whatever order the Go scheduler happens to pick. That includes Metis
-# (fig4 and the §5.4 memory experiment); the free-running hw.RunGang is
-# for -race stress tests only and produces no figure. Any new real-time
-# dependency — a map-iteration-order leak, an unstamped cycle charge, a
-# raced lock fold — breaks this gate.
+# Figure-stability gate: every virtual-time output must regenerate
+# byte-identically against its committed baseline, with no masked cells.
+# The simulator is deterministic end-to-end: remote IPI cycle charges
+# travel through virtual-time-stamped per-core mailboxes (drained in stamp
+# order at clock crossings), and every experiment runs under the
+# deterministic sequential schedule (hw.RunGangDet, or hw.Sched.Run on top
+# of it), which resolves virtually-concurrent operations in (virtual clock,
+# core ID) order instead of whatever order the Go scheduler happens to
+# pick. That includes Metis (fig4 and the §5.4 memory experiment); the
+# free-running hw.RunGang is for -race stress tests only and produces no
+# figure. Any new real-time dependency — a map-iteration-order leak, an
+# unstamped cycle charge, a raced lock fold — breaks this gate, and so does
+# any change to virtual-time behavior.
+#
+# Two sets of baselines are checked:
+#   - figures/quick/<exp>.txt, one per quick output below (table1 is left
+#     out: it counts source lines and changes with every commit);
+#   - the full-resolution figures/<fig>.txt listed at the bottom.
+# A change that moves virtual time on purpose re-baselines once: run this
+# script, check that the diff is the intended one, copy <scratch-dir>/quick/
+# over figures/quick/ and the <fig>_full.txt outputs over figures/, and
+# record the moved cells in ROADMAP.md's re-baseline log.
 #
 # The 64-core scale smoke runs under a wall-clock budget (default 300 s,
 # override with FIG_SMOKE_BUDGET) so a simulator-side real-time scaling
@@ -27,31 +37,25 @@ dir="${1:?usage: fig-stability.sh <scratch-dir>}"
 budget="${FIG_SMOKE_BUDGET:-300}"
 full_budget=$((budget * 2))
 
-gen() {
-  out="$1"
-  mkdir -p "$out"
-  go run ./cmd/radixbench -exp table1 >"$out/table1.txt"
-  go run ./cmd/radixbench -exp fig4 -quick >"$out/fig4.txt"
-  go run ./cmd/radixbench -exp fig5 -cores 1 >"$out/fig5_1core.txt"
-  go run ./cmd/radixbench -exp fig6 -quick >"$out/fig6.txt"
-  go run ./cmd/radixbench -exp fig7 -quick >"$out/fig7.txt"
-  go run ./cmd/radixbench -exp fig8 -quick >"$out/fig8.txt"
-  go run ./cmd/radixbench -exp fig9 -quick >"$out/fig9.txt"
-  go run ./cmd/radixbench -exp table2 >"$out/table2.txt"
-  go run ./cmd/radixbench -exp memory >"$out/memory.txt"
-  go run ./cmd/radixbench -exp mprotect -quick >"$out/mprotect.txt"
-  go run ./cmd/radixbench -exp fork -quick >"$out/fork.txt"
-  go run ./cmd/radixbench -exp spawn -quick >"$out/spawn.txt"
-  go run ./cmd/radixbench -exp clone -quick >"$out/clone.txt"
-  go run ./cmd/radixbench -exp fleet -quick >"$out/fleet.txt"
-  timeout "$budget" go run ./cmd/radixbench -exp filemap -quick >"$out/filemap.txt"
-  timeout "$budget" go run ./cmd/radixbench -exp scale -quick >"$out/scale.txt"
-}
-
-gen "$dir/run1"
-gen "$dir/run2"
-diff -ru "$dir/run1" "$dir/run2"
-echo "figure outputs are byte-identical across two runs"
+out="$dir/quick"
+mkdir -p "$out"
+go run ./cmd/radixbench -exp fig4 -quick >"$out/fig4.txt"
+go run ./cmd/radixbench -exp fig5 -cores 1 >"$out/fig5_1core.txt"
+go run ./cmd/radixbench -exp fig6 -quick >"$out/fig6.txt"
+go run ./cmd/radixbench -exp fig7 -quick >"$out/fig7.txt"
+go run ./cmd/radixbench -exp fig8 -quick >"$out/fig8.txt"
+go run ./cmd/radixbench -exp fig9 -quick >"$out/fig9.txt"
+go run ./cmd/radixbench -exp table2 >"$out/table2.txt"
+go run ./cmd/radixbench -exp memory >"$out/memory.txt"
+go run ./cmd/radixbench -exp mprotect -quick >"$out/mprotect.txt"
+go run ./cmd/radixbench -exp fork -quick >"$out/fork.txt"
+go run ./cmd/radixbench -exp spawn -quick >"$out/spawn.txt"
+go run ./cmd/radixbench -exp clone -quick >"$out/clone.txt"
+go run ./cmd/radixbench -exp fleet -quick >"$out/fleet.txt"
+timeout "$budget" go run ./cmd/radixbench -exp filemap -quick >"$out/filemap.txt"
+timeout "$budget" go run ./cmd/radixbench -exp scale -quick >"$out/scale.txt"
+diff -ru figures/quick "$out"
+echo "quick outputs match figures/quick byte-for-byte"
 
 # The committed full-resolution figures must also regenerate byte-for-byte:
 #   - figures/fig4.txt — Metis (the paper's Figure 4), the last workload
