@@ -148,7 +148,7 @@ func (as *AddressSpace) pageFault(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bo
 				cpu.Release(&as.lock)
 				pte = cur2
 			}
-			as.MMU.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(pte))
+			as.install(cpu, vpn, pte)
 		}
 		return nil
 	}
@@ -196,13 +196,29 @@ func (as *AddressSpace) pageFault(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bo
 			return vm.ErrProt
 		}
 	}
-	as.MMU.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(pagetable.PTE{PFN: frame.PFN, Perm: perm, Present: true}))
+	as.install(cpu, vpn, pagetable.PTE{PFN: frame.PFN, Perm: perm, Present: true})
 	return nil
+}
+
+// install caches a filled translation in cpu's TLB and then revalidates it
+// against the page table, as the access walk does. The region check above
+// it is not enough on its own: a munmap or mprotect can clear or downgrade
+// the PTE and flush every TLB between that check and the insert, which
+// would leave a stale entry — after a munmap, to a freed frame. Such a
+// syscall changes the table before it flushes, so an entry inserted after
+// its flush fails the revalidation and goes again.
+func (as *AddressSpace) install(cpu *hw.CPU, vpn uint64, pte pagetable.PTE) {
+	t := as.MMU.TLB(cpu.ID())
+	t.Insert(vpn, vm.TLBEntry(pte))
+	if !as.MMU.Revalidate(cpu, vpn, pte.PFN, pte.Perm) {
+		t.FlushPage(vpn)
+	}
 }
 
 // breakCOW resolves a write fault in a COW region under the address-space
 // lock. With the lock held no munmap, mprotect, fork, or other break can
 // interleave; only lock-free read fills race, which MapIfAbsent absorbs.
+// The TLB insert comes before the unlock, so no syscall's flush can pass it.
 func (as *AddressSpace) breakCOW(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bool) error {
 	cpu.Acquire(&as.lock)
 	cur := as.Find(cpu, vpn)
@@ -232,8 +248,8 @@ func (as *AddressSpace) breakCOW(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped boo
 			// install; on failure, loop and resolve against its PTE.
 			frame := as.Alloc.Alloc(cpu)
 			if pt.MapIfAbsent(cpu, vpn, frame.PFN, wperm) {
-				cpu.Release(&as.lock)
 				as.MMU.TLB(cpu.ID()).Insert(vpn, vm.TLBEntryFor(frame.PFN, cur.Prot))
+				cpu.Release(&as.lock)
 				return nil
 			}
 			as.Alloc.DecRef(cpu, frame)
@@ -241,8 +257,8 @@ func (as *AddressSpace) breakCOW(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped boo
 		}
 		if pte.Perm&pagetable.PermW != 0 {
 			// Already privatized by an earlier break.
-			cpu.Release(&as.lock)
 			as.MMU.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(pte))
+			cpu.Release(&as.lock)
 			return nil
 		}
 		orig := as.Alloc.ByPFN(pte.PFN)
@@ -252,8 +268,8 @@ func (as *AddressSpace) breakCOW(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped boo
 		// Stale read-only translations of the old frame may be cached
 		// anywhere; the shared MMU can only broadcast.
 		as.MMU.ShootdownTLBOnly(cpu, vpn, vpn+1, as.Active())
-		cpu.Release(&as.lock)
 		as.MMU.TLB(cpu.ID()).Insert(vpn, vm.TLBEntryFor(nf.PFN, cur.Prot))
+		cpu.Release(&as.lock)
 		return nil
 	}
 }

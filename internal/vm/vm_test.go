@@ -11,6 +11,7 @@ import (
 	"radixvm/internal/linuxvm"
 	"radixvm/internal/mem"
 	"radixvm/internal/refcache"
+	"radixvm/internal/tlb"
 	"radixvm/internal/vm"
 )
 
@@ -770,6 +771,85 @@ func TestGangRemapAndPartialMunmapVsFault(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGangFillRaceLeavesNoStaleTLB races page-fault fills against
+// munmap on the free-running gang. Each round core 0 maps a region, the
+// other cores fault its pages in while core 0 unmaps it, and once everyone
+// has stopped, no core's TLB may still map a page of the region: a
+// surviving entry would translate to a frame the munmap freed. A fill that
+// inserts its TLB entry after its last check of the region index leaves
+// exactly that, when the munmap's flush lands between the check and the
+// insert.
+func TestGangFillRaceLeavesNoStaleTLB(t *testing.T) {
+	const ncores, rounds = 4, 2000
+	const lo, npages = uint64(11000), uint64(8)
+	for i := range systems(newWorld(ncores)) {
+		w := newWorld(ncores)
+		sys := systems(w)[i]
+		faulter := sys.(interface {
+			PageFault(cpu *hw.CPU, vpn uint64, write bool) error
+		})
+		tlbOf := func(id int) *tlb.TLB {
+			switch s := sys.(type) {
+			case *vm.AddressSpace:
+				return s.MMU().TLB(id)
+			case *linuxvm.AddressSpace:
+				return s.MMU.TLB(id)
+			case *bonsaivm.AddressSpace:
+				return s.MMU.TLB(id)
+			}
+			panic("unknown system " + sys.Name())
+		}
+		t.Run(sys.Name(), func(t *testing.T) {
+			var unmapped atomic.Bool
+			var stale, others atomic.Int64
+			phase := hw.NewBarrier(ncores)
+			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
+				for r := 0; r < rounds; r++ {
+					if c.ID() == 0 {
+						mustT(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+						unmapped.Store(false)
+					}
+					phase.Wait(c, g)
+					if c.ID() == 0 {
+						g.Sync(c) // let the faulters start
+						mustT(t, sys.Munmap(c, lo, npages))
+						unmapped.Store(true)
+					} else {
+						for k := 0; !unmapped.Load(); k++ {
+							err := faulter.PageFault(c, lo+uint64(k)%npages, false)
+							if err != nil && !errors.Is(err, vm.ErrSegv) {
+								others.Add(1)
+							}
+							g.Sync(c)
+						}
+					}
+					w.rc.Maintain(c)
+					phase.Wait(c, g)
+					if c.ID() == 0 {
+						for id := 0; id < ncores; id++ {
+							for v := lo; v < lo+npages; v++ {
+								if _, ok := tlbOf(id).Lookup(v); ok {
+									stale.Add(1)
+								}
+							}
+						}
+					}
+				}
+			})
+			if n := stale.Load(); n != 0 {
+				t.Errorf("%d TLB entries still map unmapped pages after %d rounds", n, rounds)
+			}
+			if n := others.Load(); n != 0 {
+				t.Errorf("%d unexpected fault errors", n)
+			}
+			w.quiesce()
+			if live := w.alloc.Live(); live != 0 {
+				t.Errorf("%d frames leaked", live)
+			}
+		})
 	}
 }
 
