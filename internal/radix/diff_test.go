@@ -172,7 +172,7 @@ func TestDifferentialEagerVsLazyFork(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			apply(rng, trE, trL, parentRef, op)
 		}
-		childE := trE.Fork(cE, func(_, _ uint64, _, _ *val) {})
+		childE := trE.ForkFlush(cE, nil, nil)
 		childL := trL.ForkLazy(cL)
 		// The child starts as a snapshot of the parent.
 		for p := uint64(0); p < window; p += 7 {
@@ -239,5 +239,73 @@ func TestLazyForkDeterministic(t *testing.T) {
 	first := run()
 	if second := run(); second != first {
 		t.Fatalf("lazy fork schedule nondeterministic: %d vs %d cycles", first, second)
+	}
+}
+
+// TestEagerAndLazyForkCopySameNodes pins the node copy the two fork
+// policies share. One tree is forked eagerly; an identical tree is forked
+// lazily, and its child then writes every mapped page, which diverges every
+// shared node. Both forks must copy the same number of nodes and hand the
+// same values, over the same ranges, to their value callback (the eager
+// visit, the lazy onDiverge).
+func TestEagerAndLazyForkCopySameNodes(t *testing.T) {
+	type pages struct{ lo, hi uint64 }
+	leaves := []pages{
+		{3, 23}, {700, 720}, {span(1)*5 + 17, span(1)*5 + 37},
+		{span(2)*3 + 40, span(2)*3 + 60}, {span(3) + 9, span(3) + 29},
+	}
+	fold := pages{span(1) * 40, span(1) * 41}
+	build := func() (*hw.Machine, *Tree[val]) {
+		m, _, tr := newCopyTree(1)
+		c := m.CPU(0)
+		// Per-page leaves under several interior levels.
+		for i, l := range leaves {
+			setRange(tr, c, l.lo, l.hi, &val{x: i})
+		}
+		// A folded value expanded into a uniform leaf with one diverged page.
+		r := tr.LockRange(c, fold.lo, fold.hi)
+		r.Entry(0).SetClone(&val{x: 99})
+		r.Unlock()
+		r = tr.LockPage(c, fold.lo+9)
+		r.Entry(0).Value().x = 42
+		r.Unlock()
+		return m, tr
+	}
+	record := func(into map[pages]int) func(*hw.CPU, uint64, uint64, *val, *val) {
+		return func(_ *hw.CPU, lo, hi uint64, _, _ *val) { into[pages{lo, hi}]++ }
+	}
+
+	mE, trE := build()
+	eagerVisits := map[pages]int{}
+	childE := trE.ForkFlush(mE.CPU(0), record(eagerVisits), nil)
+
+	mL, trL := build()
+	cL := mL.CPU(0)
+	lazyVisits := map[pages]int{}
+	trL.OnDiverge(record(lazyVisits))
+	childL := trL.ForkLazy(cL)
+	for _, l := range append(leaves, fold) {
+		for p := l.lo; p < l.hi; p++ {
+			r := childL.LockPage(cL, p)
+			r.Entry(0).Set(childL.Clone(&val{x: -1}))
+			r.Unlock()
+		}
+	}
+
+	if e, l := childE.NodesEver(), childL.NodesEver(); e != l || e < int64(len(leaves)) {
+		t.Errorf("node copies: eager %d, lazy after full divergence %d; want equal (and >= %d)", e, l, len(leaves))
+	}
+	if len(eagerVisits) == 0 {
+		t.Fatal("the eager fork visited no values")
+	}
+	for v, n := range eagerVisits {
+		if lazyVisits[v] != n {
+			t.Errorf("visit [%d,%d): eager %d, lazy %d", v.lo, v.hi, n, lazyVisits[v])
+		}
+	}
+	for v, n := range lazyVisits {
+		if _, ok := eagerVisits[v]; !ok {
+			t.Errorf("visit [%d,%d): lazy %d, eager none", v.lo, v.hi, n)
+		}
 	}
 }

@@ -6,13 +6,15 @@ import (
 	"radixvm/internal/hw"
 )
 
-// Tree.Fork structurally clones a tree — the radix half of an address-space
-// fork. It sweeps every slot lock bit in the tree strictly left-to-right in
-// the same global order every Range operation uses (ascending VPN, parent
-// slot before the child node covering the same VPNs), but unlike a Range it
-// does not hold the whole sweep at once: each *node* is copied under all of
-// its bits and released (one merged busy period) before the fork descends
-// into that node's children — hand-over-hand at node granularity.
+// Tree.ForkFlush (the eager sweep) structurally clones a tree — the radix
+// half of an address-space fork. It sweeps every slot lock bit in the tree
+// strictly left-to-right in the same global order every Range operation
+// uses (ascending VPN, parent slot before the child node covering the same
+// VPNs), but unlike a Range it does not hold the whole sweep at once: each
+// *node* is copied under all of its bits and released (one merged busy
+// period) before the fork descends into that node's children —
+// hand-over-hand at node granularity. Every node copy, eager or lazy, is
+// one routine, copyNode.
 //
 // What that buys and what it costs:
 //
@@ -80,12 +82,6 @@ func ForkNodeCost(pageZero uint64, groups int) uint64 {
 	return pageZero * (ForkHeaderBytes + uint64(groups)*ForkGroupBytes) / forkPageBytes
 }
 
-type forkCtx[V any] struct {
-	nt    *Tree[V]
-	visit func(lo, hi uint64, src, dst *V)
-	flush func(cpu *hw.CPU)
-}
-
 // forkKid records a pinned source child whose subtree copy is deferred
 // until the current node's bits are released (the hand-over-hand step),
 // plus the dst slot the finished copy's link goes into.
@@ -96,45 +92,74 @@ type forkKid[V any] struct {
 	idx   int
 }
 
-// Fork clones t's mapped structure into a fresh tree of the same kind on
-// the same machine and Refcache domain. visit is invoked once per distinct
-// stored value with the VPN range it covers: leaf slots get one page,
-// folded interior slots their whole span, and a uniform node's shared fill
-// is visited once for the node's entire range (its logical per-slot copies
-// are identical by construction, so one visit covers them all). src is the
-// parent's value — mutable in place, since fork holds the covering slot's
-// lock bit while visiting — and dst the child's fresh copy. On cloneShared
-// trees src and dst are the same pointer (values are shared by
-// construction).
-func (t *Tree[V]) Fork(cpu *hw.CPU, visit func(lo, hi uint64, src, dst *V)) *Tree[V] {
-	return t.ForkFlush(cpu, visit, nil)
-}
-
-// ForkFlush is Fork with a per-node flush hook: after each source node has
-// been fully copied — every visit for its slots done — and *before* its
-// lock bits are released, flush runs. The VM layer uses it to issue the
-// write-protect shootdowns for the pages just flagged COW while the slots
-// are still locked, so no parent write can slip through a stale writable
-// translation between the snapshot of a page and the revocation of its
-// write rights.
-func (t *Tree[V]) ForkFlush(cpu *hw.CPU, visit func(lo, hi uint64, src, dst *V), flush func(cpu *hw.CPU)) *Tree[V] {
+// ForkFlush clones t's mapped structure into a fresh tree of the same kind
+// on the same machine and Refcache domain — the eager sweep. visit is
+// invoked once per distinct stored value with the VPN range it covers:
+// leaf slots get one page, folded interior slots their whole span, and a
+// uniform node's shared fill is visited once for the node's entire range
+// (its logical per-slot copies are identical by construction, so one visit
+// covers them all). src is the parent's value — mutable in place, since
+// fork holds the covering slot's lock bit while visiting — and dst the
+// child's fresh copy. On cloneShared trees src and dst are the same
+// pointer (values are shared by construction).
+//
+// flush, if non-nil, runs after each source node has been fully copied —
+// every visit for its slots done — and *before* its lock bits are
+// released. The VM layer uses it to issue the write-protect shootdowns for
+// the pages just flagged COW while the slots are still locked, so no
+// parent write can slip through a stale writable translation between the
+// snapshot of a page and the revocation of its write rights.
+func (t *Tree[V]) ForkFlush(cpu *hw.CPU, visit func(cpu *hw.CPU, lo, hi uint64, src, dst *V), flush func(cpu *hw.CPU)) *Tree[V] {
 	nt := treeShell(t.m, t.rc, t.clone, t.kind)
-	ctx := &forkCtx[V]{nt: nt, visit: visit, flush: flush}
-	nt.root = t.forkNode(cpu, ctx, t.root, 1) // +1: the root's immortal ref
+	nt.root = nt.forkSweep(cpu, t.root, 1, visit, flush) // +1: the root's immortal ref
 	return nt
 }
 
-// forkNode locks src's slots left-to-right (ascending within each node, at
-// most one node held at a time, so the sweep is deadlock-free), copies
-// them into the child tree's counterpart, then releases all of src's bits
-// and only afterwards descends into the child nodes it pinned along the
-// way — hand-over-hand, so a trailing fork (or any locker) enters this
-// node the moment its copy is done rather than when the whole fork
-// finishes. Within one node the copy is a two-phase atomic snapshot;
-// across nodes the snapshot is only node-granular (see the package comment
-// above). extra is added to the new node's reference count (the root's
-// immortal reference).
-func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int64) *node[V] {
+// forkSweep copies src into tree t (copyNode, keeping child links for
+// later), flushes, then releases all of src's bits and only afterwards
+// descends into the child nodes it pinned along the way — hand-over-hand,
+// so a trailing fork (or any locker) enters this node the moment its copy
+// is done rather than when the whole fork finishes. At most one node's
+// bits are held at a time, so the sweep is deadlock-free. Within one node
+// the copy is a two-phase atomic snapshot; across nodes the snapshot is
+// only node-granular (see the package comment above).
+func (t *Tree[V]) forkSweep(cpu *hw.CPU, src *node[V], extra int64, visit func(cpu *hw.CPU, lo, hi uint64, src, dst *V), flush func(cpu *hw.CPU)) *node[V] {
+	var kidsBuf [8]forkKid[V]
+	dst, arrive, kids := t.copyNode(cpu, src, extra, visit, false, kidsBuf[:0])
+	if flush != nil {
+		flush(cpu)
+	}
+	src.forkUnlock(cpu, arrive)
+	for i := range kids {
+		k := &kids[i]
+		dchild := t.forkSweep(cpu, k.child, 0, visit, flush)
+		dchild.parent = dst
+		dchild.parentIdx = k.idx
+		k.dg.slab[k.j] = slotState[V]{child: dchild.obj}
+		storePlain(&k.dg.sts[k.j], &k.dg.slab[k.j])
+		t.unpin(cpu, k.child)
+	}
+	return dst
+}
+
+// copyNode is the one per-node fork copy, shared by both fork policies:
+// the eager sweep runs it on every node at fork time, the generation fork
+// on the root at fork time (ForkLazy) and on each shared node at its first
+// divergence (divergeChild). t is the tree receiving the copy. copyNode
+// locks src's slots left-to-right, copies them into a fresh node of t —
+// value slots cloned by tree kind and passed to visit, if non-nil, with
+// the VPN range each covers; the uniform fill once for the node's whole
+// range — bills ForkNodeCost, and returns the copy with every bit of src
+// still held, plus the arrival time the caller releases them with
+// (src.forkUnlock). extra is added to the new node's reference count (the
+// root's immortal reference, or a creator pin).
+//
+// Child links are the one thing the two policies copy differently. With
+// link set, the copy shares src's child subtrees, bumping their links
+// counts, so it is O(1) in subtree size. Otherwise each live child stays
+// pinned and is appended to kids, for the caller to copy once src's bits
+// are released.
+func (t *Tree[V]) copyNode(cpu *hw.CPU, src *node[V], extra int64, visit func(cpu *hw.CPU, lo, hi uint64, src, dst *V), link bool, kids []forkKid[V]) (*node[V], uint64, []forkKid[V]) {
 	arrive := cpu.Now()
 	// Unmaterialized slots' bits carry no per-slot gates; their pending
 	// virtual-time state lives in the node's uniform plateau table. Wait
@@ -149,10 +174,7 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 	}
 	src.matMu.Unlock()
 
-	nt := ctx.nt
-	dst := nt.cloneShell(cpu, src)
-	var kidsBuf [8]forkKid[V]
-	kids := kidsBuf[:0]
+	dst := t.cloneShell(cpu, src)
 	var used int64
 	if dst.uniSt != nil {
 		used = SlotsPerNode
@@ -196,40 +218,46 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 		} else {
 			st = src.uniSt
 		}
+		var child *node[V]
+		if st != nil && st.child != nil {
+			if child = t.loadChild(cpu, src, idx, st); child == nil {
+				st = nil // the child died mid-reclaim; the slot is now empty
+			}
+		}
 		switch {
 		case st == nil:
 			if dst.uniSt != nil {
 				// src diverged this slot to empty; dst must too.
-				dg := dst.forkGroup(nt, gi)
+				dg := dst.forkGroup(t, gi)
 				storePlain(&dg.sts[j], nil)
 				used--
 			}
-		case st.child != nil:
-			child := t.loadChild(cpu, src, idx, st)
-			if child == nil {
-				// The child died mid-reclaim; the slot is now empty.
-				if dst.uniSt != nil {
-					dg := dst.forkGroup(nt, gi)
-					storePlain(&dg.sts[j], nil)
-					used--
-				}
-				continue
+		case child != nil:
+			dg := dst.forkGroup(t, gi)
+			if link {
+				// Share the subtree instead of copying it. The pin makes
+				// the links bump safe against concurrent reclamation.
+				child.links.Add(1)
+				dg.slab[j] = slotState[V]{child: child.obj}
+				storePlain(&dg.sts[j], &dg.slab[j])
+				t.unpin(cpu, child)
+			} else {
+				// Pinned: the child cannot be reclaimed. The caller fills
+				// the dst slot once it has copied the subtree (dst is
+				// private until the fork returns, so the order is
+				// unobservable).
+				kids = append(kids, forkKid[V]{child: child, dg: dg, j: j, idx: idx})
 			}
-			// Pinned: the child cannot be reclaimed. Defer its subtree copy
-			// until src's bits are released (the dst slot is filled in
-			// below; dst is private until Fork returns, so the order is
-			// unobservable).
-			kids = append(kids, forkKid[V]{child: child, dg: dst.forkGroup(nt, gi), j: j, idx: idx})
 			if dst.uniSt == nil {
 				used++
 			}
 		case g == nil:
-			// Uniform fill: already represented (and visited) by dst's
-			// header; nothing diverges.
+			// Uniform fill: already represented by dst's header; the
+			// single whole-span visit runs below with every bit held.
 		default:
 			// A materialized value slot: give dst its own copy in the
 			// mirrored group.
-			dg := dst.forkGroup(nt, gi)
+			dg := dst.forkGroup(t, gi)
 			var dv *V
 			switch t.kind {
 			case cloneShared:
@@ -244,8 +272,10 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 				dg.slab[j] = slotState[V]{val: dv}
 			}
 			storePlain(&dg.sts[j], &dg.slab[j])
-			lo := src.slotBase(idx)
-			ctx.visit(lo, lo+sp, st.val, dv)
+			if visit != nil {
+				lo := src.slotBase(idx)
+				visit(cpu, lo, lo+sp, st.val, dv)
+			}
 			if dst.uniSt == nil {
 				used++
 			}
@@ -264,31 +294,13 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 	// node held (the sweep above took them all), so the visit contract —
 	// src mutable under the covering slots' locks — holds for folded
 	// state too; a trailing concurrent fork is still parked on the bits.
-	if dst.uniSt != nil {
-		hi := src.base + uint64(SlotsPerNode)*span(src.level)
-		ctx.visit(src.base, hi, src.uniSt.val, dst.uniSt.val)
+	if dst.uniSt != nil && visit != nil {
+		hi := src.base + uint64(SlotsPerNode)*sp
+		visit(cpu, src.base, hi, src.uniSt.val, dst.uniSt.val)
 	}
-	dst.obj = nt.rc.NewObj(used+extra, freeNode[V])
+	dst.obj = t.rc.NewObj(used+extra, freeNode[V])
 	dst.obj.Data = dst
-	// The node is fully copied. Flush (the VM layer's shootdowns for this
-	// node's pages) while the bits are still held, then release them all in
-	// one merged busy period so trailing forks and lockers can proceed.
-	if ctx.flush != nil {
-		ctx.flush(cpu)
-	}
-	src.forkUnlock(cpu, arrive)
-	// Hand-over-hand descent: copy the pinned children left-to-right, each
-	// locking only its own subtree.
-	for i := range kids {
-		k := &kids[i]
-		dchild := t.forkNode(cpu, ctx, k.child, 0)
-		dchild.parent = dst
-		dchild.parentIdx = k.idx
-		k.dg.slab[k.j] = slotState[V]{child: dchild.obj}
-		storePlain(&k.dg.sts[k.j], &k.dg.slab[k.j])
-		t.unpin(cpu, k.child)
-	}
-	return dst
+	return dst, arrive, kids
 }
 
 // cloneShell builds the child-tree counterpart of src: same level and
@@ -355,7 +367,7 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) *node[V] {
 
 // forkGroup returns dst's group gi, creating it zeroed if absent (a fresh
 // child group's gates start free, as in a brand-new address space). Unlike
-// materialize it does not pre-fill slot states: forkNode overwrites every
+// materialize it does not pre-fill slot states: copyNode overwrites every
 // slot of a mirrored group explicitly.
 func (n *node[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	if g := n.groupLoad(gi); g != nil {

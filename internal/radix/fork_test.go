@@ -30,12 +30,12 @@ func TestForkClonesValues(t *testing.T) {
 	r.Unlock()
 
 	visited := 0
-	child := tr.Fork(c, func(flo, fhi uint64, src, dst *val) {
+	child := tr.ForkFlush(c, func(_ *hw.CPU, flo, fhi uint64, src, dst *val) {
 		visited++
 		if src.x != dst.x {
 			t.Errorf("visit [%d,%d): src x=%d, dst x=%d", flo, fhi, src.x, dst.x)
 		}
-	})
+	}, nil)
 	if visited == 0 {
 		t.Fatal("visit never called")
 	}
@@ -83,7 +83,7 @@ func TestForkPreservesCompactness(t *testing.T) {
 	r.Entry(0).SetClone(&val{x: 1})
 	r.Unlock()
 	before := tr.GroupsEver()
-	child := tr.Fork(c, func(_, _ uint64, _, _ *val) {})
+	child := tr.ForkFlush(c, nil, nil)
 	if grew := tr.GroupsEver() - before; grew != 0 {
 		t.Errorf("fork materialized %d parent groups, want 0", grew)
 	}
@@ -135,7 +135,7 @@ func TestForkMidMaterializationBusyPeriod(t *testing.T) {
 
 	var forkEnd uint64
 	sawLeaf := false
-	tr.ForkFlush(c0, func(lo, hi uint64, _, _ *val) {
+	tr.ForkFlush(c0, func(_ *hw.CPU, lo, hi uint64, _, _ *val) {
 		if hi-lo == 1 { // a per-page visit: only the leaf produces these
 			sawLeaf = true
 		}
@@ -192,7 +192,7 @@ func TestForkCostModel(t *testing.T) {
 	r.Entry(0).SetClone(&val{x: 1})
 	r.Unlock()
 	before := c.Now()
-	child := tr.Fork(c, func(_, _ uint64, _, _ *val) {})
+	child := tr.ForkFlush(c, nil, nil)
 	delta := c.Now() - before
 	nodes := uint64(child.NodesEver())
 	if delta >= nodes*pageZero {
@@ -234,7 +234,7 @@ func TestConcurrentForksConsistent(t *testing.T) {
 			defer wg.Done()
 			c := m.CPU(f)
 			for k := 0; k < 10; k++ {
-				children[f] = tr.Fork(c, func(_, _ uint64, _, _ *val) {})
+				children[f] = tr.ForkFlush(c, nil, nil)
 				rc.Maintain(c)
 			}
 		}(f)
@@ -291,7 +291,7 @@ func TestForkVsConcurrentLockRange(t *testing.T) {
 		}
 	}()
 	for k := 0; k < 20; k++ {
-		child := tr.Fork(c0, func(_, _ uint64, _, _ *val) {})
+		child := tr.ForkFlush(c0, nil, nil)
 		// Snapshot atomicity: within [100,108) all pages carry one value.
 		first := child.Lookup(c0, 100)
 		if first == nil {

@@ -8,18 +8,19 @@ import (
 
 // Lazy (generation-based) fork: COW of the radix metadata itself.
 //
-// ForkLazy is the O(1) counterpart of Fork: instead of sweeping the whole
-// tree, it copies only the root node — in *link mode*, sharing the root's
-// child subtrees with the child tree instead of copying them — and bumps
-// the parent tree's generation, re-adopting the parent root into the new
-// generation under the root's held bits. Every node below the root is now
+// ForkLazy is the O(1) counterpart of ForkFlush: instead of sweeping the
+// whole tree, it copies only the root node — in *link mode*, sharing the
+// root's child subtrees with the child tree instead of copying them — and
+// bumps the parent tree's generation, re-adopting the parent root into the
+// new generation under the root's held bits. Every node below the root is now
 // *foreign* to both trees (it belongs to the parent tree but predates the
 // parent's new generation, and belongs to the wrong tree outright from the
 // child's point of view), and the write paths path-copy a foreign node the
 // first time they descend into it (divergeChild): the same per-node copy
-// the eager fork performs, billed the same ForkNodeCost virtual time, just
-// deferred from fork time to first-divergence time. A node neither side
-// ever touches again is never copied — the metadata mirror of frame COW.
+// (copyNode) the eager fork performs, billed the same ForkNodeCost virtual
+// time, just deferred from fork time to first-divergence time. A node
+// neither side ever touches again is never copied — the metadata mirror of
+// frame COW.
 //
 // Sharing discipline:
 //
@@ -49,7 +50,7 @@ import (
 //     slot's bit, then takes the child node's bits, which is the global
 //     parent-before-child, ascending-VPN order every operation uses.
 //
-// Mixing Fork and ForkLazy within one fork family is unsupported: the
+// Mixing ForkFlush and ForkLazy within one fork family is unsupported: the
 // eager sweep's visit mutates source values in place (COW arming), which
 // must not happen on a node shared with another tree. A family is
 // all-eager or all-lazy, chosen before the first fork.
@@ -81,7 +82,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	nt := treeShell(t.m, t.rc, t.clone, t.kind)
 	nt.onDiverge = t.onDiverge
 	nt.onRelease = t.onRelease
-	root, arrive := nt.linkCopy(cpu, t.root, 1) // +1: the root's immortal ref
+	root, arrive, _ := nt.copyNode(cpu, t.root, 1, nt.onDiverge, true, nil) // +1: the root's immortal ref
 	nt.root = root
 	// Re-adopt the parent root into the new generation while all of its
 	// bits are still held: after the bits release, any descent from the
@@ -93,136 +94,6 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	t.root.gen = newGen
 	t.root.forkUnlock(cpu, arrive)
 	return nt
-}
-
-// linkCopy copies src into a new node of tree t in link mode: value slots
-// are cloned (invoking t's onDiverge hook per distinct value, the deferred
-// equivalent of Fork's visit), but child subtrees are *shared* — the copy
-// links src's children directly, bumping their links counts — so the copy
-// is O(1) in subtree size. src's bits are all held when linkCopy returns;
-// the caller publishes the copy (and performs any generation re-adoption)
-// and then releases them with src.forkUnlock(cpu, arrive). The bit
-// acquisition, busy-period registration, and ForkNodeCost billing are
-// exactly the eager forkNode's, so a lazy fork family remains
-// virtual-time-deterministic.
-func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) (*node[V], uint64) {
-	arrive := cpu.Now()
-	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive)
-	src.forkForks++
-	if src.forkForks == 1 || arrive < src.forkBusy {
-		src.forkBusy = arrive
-	}
-	src.matMu.Unlock()
-
-	dst := t.cloneShell(cpu, src)
-	var used int64
-	if dst.uniSt != nil {
-		used = SlotsPerNode
-	}
-	sp := span(src.level)
-	for idx := 0; idx < SlotsPerNode; idx++ {
-		gi := idx / slotsPerLine
-		j := idx % slotsPerLine
-		mask := uint64(1) << (uint(idx) & 63)
-		w := &src.bits[idx>>6]
-		g := src.groupLoad(gi)
-		if g != nil {
-			cpu.Write(&g.line)
-			cpu.AcquireBitIn(w, mask, &g.gates[j])
-		} else {
-			// Groupless bit: spin out any transient holder (see forkNode);
-			// the virtual-time wait is settled by the merged-table wait
-			// below, and no line exists to charge.
-			for {
-				old := w.Load()
-				if old&mask == 0 {
-					if w.CompareAndSwap(old, old|mask) {
-						break
-					}
-					continue
-				}
-				runtime.Gosched()
-			}
-			g = src.groupLoad(gi)
-		}
-
-		var st *slotState[V]
-		if g != nil {
-			st = g.sts[j].Load()
-		} else {
-			st = src.uniSt
-		}
-		switch {
-		case st == nil:
-			if dst.uniSt != nil {
-				dg := dst.forkGroup(t, gi)
-				storePlain(&dg.sts[j], nil)
-				used--
-			}
-		case st.child != nil:
-			child := t.loadChild(cpu, src, idx, st)
-			if child == nil {
-				// The child died mid-reclaim; the slot is now empty.
-				if dst.uniSt != nil {
-					dg := dst.forkGroup(t, gi)
-					storePlain(&dg.sts[j], nil)
-					used--
-				}
-				continue
-			}
-			// Link mode: share the subtree instead of copying it. The pin
-			// makes the links bump safe against concurrent reclamation.
-			child.links.Add(1)
-			dg := dst.forkGroup(t, gi)
-			dg.slab[j] = slotState[V]{child: child.obj}
-			storePlain(&dg.sts[j], &dg.slab[j])
-			t.unpin(cpu, child)
-			if dst.uniSt == nil {
-				used++
-			}
-		case g == nil:
-			// Uniform fill: already represented by dst's header; the single
-			// whole-span visit runs below with every bit held.
-		default:
-			// A materialized value slot: give dst its own copy.
-			dg := dst.forkGroup(t, gi)
-			var dv *V
-			switch t.kind {
-			case cloneShared:
-				dv = st.val
-				dg.slab[j] = slotState[V]{val: dv}
-			case cloneCopy:
-				dg.vals[j] = *st.val
-				dv = &dg.vals[j]
-				dg.slab[j] = slotState[V]{val: dv}
-			default:
-				dv = t.clone(st.val)
-				dg.slab[j] = slotState[V]{val: dv}
-			}
-			storePlain(&dg.sts[j], &dg.slab[j])
-			if t.onDiverge != nil {
-				lo := src.slotBase(idx)
-				t.onDiverge(cpu, lo, lo+sp, st.val, dv)
-			}
-			if dst.uniSt == nil {
-				used++
-			}
-		}
-	}
-	// Serialize in virtual time with concurrent forks/divergences whose
-	// busy periods merged into the uniform table after our entry wait
-	// (same rule as forkNode).
-	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive)
-	src.matMu.Unlock()
-	if dst.uniSt != nil && t.onDiverge != nil {
-		hi := src.base + uint64(SlotsPerNode)*sp
-		t.onDiverge(cpu, src.base, hi, src.uniSt.val, dst.uniSt.val)
-	}
-	dst.obj = t.rc.NewObj(used+extra, freeNode[V])
-	dst.obj.Data = dst
-	return dst, arrive
 }
 
 // divergeChild path-copies the foreign node child — pinned by the caller,
@@ -247,7 +118,7 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// in-flight range operation inside it — with one creator pin for the
 	// caller. The copy inherits the parent *node's* generation (native by
 	// construction: descent only writes under native parents).
-	dst, arrive := t.linkCopy(cpu, child, 1)
+	dst, arrive, _ := t.copyNode(cpu, child, 1, t.onDiverge, true, nil)
 	dst.gen = n.gen
 	dst.parent = n
 	dst.parentIdx = idx

@@ -85,7 +85,7 @@ func TestLazyForkIsOrderOne(t *testing.T) {
 	mE, trE := build()
 	cE := mE.CPU(0)
 	before := cE.Now()
-	trE.Fork(cE, func(_, _ uint64, _, _ *val) {})
+	trE.ForkFlush(cE, nil, nil)
 	eager := cE.Now() - before
 
 	mL, trL := build()

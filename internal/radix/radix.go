@@ -132,7 +132,7 @@ type Tree[V any] struct {
 	gen atomic.Uint64
 
 	// onDiverge and onRelease are the lazy-fork value hooks, inherited by
-	// ForkLazy children. onDiverge plays the role of Fork's visit callback,
+	// ForkLazy children. onDiverge plays the role of ForkFlush's visit,
 	// invoked at divergence time when a shared node is path-copied;
 	// onRelease is invoked for each value dropped when a subtree's last
 	// referencing tree releases it (Tree.Release or divergence unlink).
@@ -628,8 +628,8 @@ func buildTree[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V, k
 	return t
 }
 
-// treeShell builds a tree without its root — shared by buildTree and Fork,
-// whose root is a structural clone rather than an empty node.
+// treeShell builds a tree without its root — shared by buildTree and the
+// forks, whose root is a structural clone rather than an empty node.
 func treeShell[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V, kind cloneKind) *Tree[V] {
 	return &Tree[V]{
 		m:        m,
@@ -872,7 +872,7 @@ func (t *Tree[V]) foreign(n *node[V]) bool {
 // OnDiverge registers the lazy-fork divergence hook: fn is invoked once per
 // distinct value copied when a snapshot-shared node is path-copied on first
 // write, with the VPN range the value covers — the deferred equivalent of
-// Fork's visit callback. Inherited by ForkLazy children.
+// ForkFlush's visit callback. Inherited by ForkLazy children.
 func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) { t.onDiverge = fn }
 
 // OnRelease registers the lazy-fork release hook: fn is invoked once per

@@ -127,7 +127,9 @@ func New(m *hw.Machine, rc *refcache.Refcache, alloc *mem.Allocator, mmu MMU) *A
 // Registered on every address space — Exit relies on the release hook even
 // in eager mode, and ForkLazy children re-wire to their own binding.
 func (as *AddressSpace) wireTree() {
-	as.tree.OnDiverge(as.divergeMapping)
+	as.tree.OnDiverge(func(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
+		as.divergeMapping(cpu, lo, hi, src, dst)
+	})
 	as.tree.OnRelease(as.releaseMapping)
 }
 

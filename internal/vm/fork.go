@@ -6,29 +6,21 @@ import (
 	"radixvm/internal/pagetable"
 )
 
-// Fork implements System for RadixVM. The radix tree's fork path sweeps
-// every slot lock bit left-to-right (the same global order as any range
-// operation, so concurrent mmap/munmap/pagefault serialize with it at each
-// overlapping slot) hand-over-hand: each node is copied under its bits,
-// write-protected, and released before the sweep descends further — which
-// is what lets a spawn server's concurrent per-core forks pipeline through
-// disjoint subtrees instead of serializing end to end. The snapshot goes
-// into a child tree that keeps the parent's uniform/diverged compactness,
-// billed by its logical size (radix.ForkNodeCost). Per copied entry:
+// Fork implements System for RadixVM. Two policies share one radix node
+// copy and one COW-arming rule (divergeMapping): never-faulted metadata
+// copies as is, file-backed frames stay shared outright, and faulted
+// anonymous frames become copy-on-write on both sides.
 //
-//   - Never-faulted metadata (including folded interior entries) copies as
-//     is; each side faults its own frames later, privately.
-//   - File-backed frames are shared outright — the child's copy is just
-//     another mapping of the page cache frame, so its reference count (and
-//     Figure 8 baseline counter, when present) is bumped.
-//   - Anonymous frames become copy-on-write on both sides: the mapping
-//     metadata is flagged COW, the frame's COW share count grows (by two
-//     the first time, one per additional fork), and write permission is
-//     revoked from the parent's installed translations — a §3.4-style
-//     write-protect shootdown targeted at exactly the cores the mapping
+//   - The eager sweep (the default) copies every node at fork time,
+//     hand-over-hand in the global slot order (radix.Tree.ForkFlush), and
+//     write-protects each node's newly COW pages before releasing its bits
+//     — a §3.4-style shootdown targeted at exactly the cores the mapping
 //     metadata saw fault each page, so forking a space whose regions are
 //     core-local sends no IPIs at all. The baselines must broadcast here,
 //     which is what the fork figure measures.
+//   - The generation fork (SetForkEager(false), forkLazy) copies the root
+//     only; every other node is copied when either side first writes
+//     under it.
 //
 // The child starts with no translations anywhere (fresh MMU), so only the
 // parent's side needs shootdowns.
@@ -77,27 +69,8 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 	}
 	var runs []protRun
 
-	child.tree = as.tree.ForkFlush(cpu, func(lo, hi uint64, src, dst *Mapping) {
-		dst.TLBCores = hw.CoreSet{} // a fresh space: nobody caches anything
-		if src.Frame == nil {
-			return // metadata-only copy
-		}
-		as.alloc.IncRef(cpu, src.Frame) // the child's reference
-		if src.altCtr != nil {
-			src.altCtr.Inc(cpu)
-		}
-		if src.Back.File != nil {
-			return // file pages stay shared and writable on both sides
-		}
-		dst.COW = true
-		if src.COW {
-			// Already shared with an earlier fork; the child joins.
-			src.Frame.AddCOWShares(cpu, 1)
-			return
-		}
-		src.COW = true
-		src.Frame.AddCOWShares(cpu, 2) // parent and child
-		if src.Prot&ProtWrite == 0 {
+	child.tree = as.tree.ForkFlush(cpu, func(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
+		if !as.divergeMapping(cpu, lo, hi, src, dst) {
 			return // no writable translation can exist; nothing to revoke
 		}
 		perm := src.permBits() // COW just set: write already stripped
@@ -146,42 +119,44 @@ func (as *AddressSpace) forkLazy(cpu *hw.CPU, child *AddressSpace) {
 	as.mmu.Reset(cpu, as.activeSet())
 }
 
-// divergeMapping is the radix tree's onDiverge hook: the deferred per-page
-// half of the eager fork's visit, run when a snapshot-shared node is
-// path-copied on first touch. src is the shared mapping, dst the copy that
-// becomes private to the diverging tree. The COW share count follows the
-// eager fork's arithmetic, just deferred: the first divergence counts the
-// shared original and the copy (2), later divergences add their copy (1) —
-// writing src.COW is legal here because the hook runs under every slot bit
-// of src's node, the same discipline the eager visit mutates sources under.
-// The original's share and reference drop when its node's last link goes
-// away (releaseMapping), so however a fork family diverges and exits, k
-// surviving mappings of a frame hold exactly k references, and breakCOW's
-// sole-share ownership test stays exact.
+// divergeMapping COW-arms one copied mapping: src is the original, dst the
+// copy. It is the eager fork's per-value visit and, as the radix tree's
+// onDiverge hook, the generation fork's, run when a snapshot-shared node is
+// path-copied on first touch. It reports whether it newly armed a writable
+// anonymous page, whose installed translations the eager fork must then
+// write-protect.
 //
-// No write-protect rounds run here: the forking side's translations were
-// invalidated wholesale at fork time and shared nodes never supply new
-// ones (every locking descent diverges first), so no stale writable
-// translation for these pages can exist anywhere.
-func (as *AddressSpace) divergeMapping(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
-	dst.TLBCores = hw.CoreSet{} // no translation derives from a shared node
+// The COW share count grows by two the first time a frame is shared (the
+// original and the copy) and by one for each later copy. Writing src.COW
+// is legal because both forks call this under every slot bit of src's
+// node. In the generation fork the original's share and reference drop
+// when its node's last link goes away (releaseMapping), so however a fork
+// family diverges and exits, k surviving mappings of a frame hold exactly
+// k references, and breakCOW's sole-share ownership test stays exact. Its
+// copies need no write-protect rounds: the forking side's translations
+// were invalidated wholesale at fork time and shared nodes never supply
+// new ones (every locking descent diverges first).
+func (as *AddressSpace) divergeMapping(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) bool {
+	dst.TLBCores = hw.CoreSet{} // a fresh copy: nobody caches it yet
 	if src.Frame == nil {
-		return // metadata-only copy
+		return false // metadata-only copy
 	}
-	as.alloc.IncRef(cpu, src.Frame) // the diverged copy's reference
+	as.alloc.IncRef(cpu, src.Frame) // the copy's reference
 	if src.altCtr != nil {
 		src.altCtr.Inc(cpu)
 	}
 	if src.Back.File != nil {
-		return // file pages stay shared and writable on both sides
+		return false // file pages stay shared and writable on both sides
 	}
 	dst.COW = true
 	if src.COW {
+		// Already shared with an earlier fork; the copy joins.
 		src.Frame.AddCOWShares(cpu, 1)
-		return
+		return false
 	}
 	src.COW = true
-	src.Frame.AddCOWShares(cpu, 2) // the shared original and this copy
+	src.Frame.AddCOWShares(cpu, 2) // the original and this copy
+	return src.Prot&ProtWrite != 0
 }
 
 // releaseMapping is the radix tree's onRelease hook: the teardown half of

@@ -8,16 +8,49 @@ import (
 	"radixvm/internal/vm"
 )
 
-// TestForkCOWSemantics drives the canonical fork lifecycle on all three
-// systems: the child shares the parent's faulted anonymous frames until
+// forkSystems is what the fork properties run on: the three systems, plus
+// radixvm on the generation fork (SetForkEager(false)).
+func forkSystems(w *world) []vm.System {
+	return append(systems(w), lazySpace(w))
+}
+
+// lazyFork reports whether s forks by generation.
+func lazyFork(s vm.System) bool {
+	as, ok := s.(*vm.AddressSpace)
+	return ok && !as.ForkEager()
+}
+
+// forkName names a fork subtest: the system, with "-lazy" marking the
+// generation fork.
+func forkName(s vm.System) string {
+	if lazyFork(s) {
+		return s.Name() + "-lazy"
+	}
+	return s.Name()
+}
+
+// teardown unmaps [lo, lo+n) of s, or exits s whole if it forks by
+// generation: Exit is how such a space drops its links on the subtrees it
+// still shares with its fork family.
+func teardown(t *testing.T, c *hw.CPU, s vm.System, lo, n uint64) {
+	t.Helper()
+	if lazyFork(s) {
+		exit(c, s)
+		return
+	}
+	must(t, s.Munmap(c, lo, n))
+}
+
+// TestForkCOWSemantics drives the canonical fork lifecycle on every
+// system: the child shares the parent's faulted anonymous frames until
 // first write, each written page is copied exactly once per side, repeat
 // writes copy nothing more, and teardown leaks no frames.
 func TestForkCOWSemantics(t *testing.T) {
 	const lo, npages = uint64(100), uint64(4)
-	for i := range systems(newWorld(2)) {
+	for i := range forkSystems(newWorld(2)) {
 		w := newWorld(2)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
+		sys := forkSystems(w)[i]
+		t.Run(forkName(sys), func(t *testing.T) {
 			c := m0(w)
 			must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			for v := lo; v < lo+npages; v++ {
@@ -26,6 +59,9 @@ func TestForkCOWSemantics(t *testing.T) {
 			base := w.alloc.Created()
 			childSys, err := sys.Fork(c)
 			must(t, err)
+			if lazyFork(childSys) != lazyFork(sys) {
+				t.Fatal("the child does not inherit the parent's fork policy")
+			}
 			// Reads share: no frames materialize.
 			for v := lo; v < lo+npages; v++ {
 				must(t, childSys.Access(c, v, false))
@@ -70,9 +106,9 @@ func TestForkCOWSemantics(t *testing.T) {
 			if sys.Name() == "radixvm" && extra != 0 {
 				t.Fatalf("radixvm parent (sole owner) copied %d frames, want 0", extra)
 			}
-			// Teardown: both spaces unmap; nothing leaks.
-			must(t, childSys.Munmap(c, lo, npages))
-			must(t, sys.Munmap(c, lo, npages))
+			// Teardown: both spaces go; nothing leaks.
+			teardown(t, c, childSys, lo, npages)
+			teardown(t, c, sys, lo, npages)
 			w.quiesce()
 			if live := w.alloc.Live(); live != 0 {
 				t.Fatalf("%d frames leaked after parent+child exit", live)
@@ -85,27 +121,31 @@ func TestForkCOWSemantics(t *testing.T) {
 // RadixVM, whose Lookup exposes the backing frames: the child's copy holds
 // the parent's bytes, and later parent writes stay invisible to the child.
 func TestForkCopiesFrameContents(t *testing.T) {
-	w := newWorld(1)
-	as := vm.New(w.m, w.rc, w.alloc, nil)
-	c := m0(w)
-	must(t, as.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	must(t, as.Access(c, 100, true))
-	pm := as.Lookup(c, 100)
-	pm.Frame.Data()[0] = 0xAB
-	childSys, err := as.Fork(c)
-	must(t, err)
-	child := childSys.(*vm.AddressSpace)
-	must(t, child.Access(c, 100, true)) // COW break copies the frame
-	cm := child.Lookup(c, 100)
-	if cm.Frame == pm.Frame {
-		t.Fatal("child still maps the parent's frame after its write")
-	}
-	if got := cm.Frame.Data()[0]; got != 0xAB {
-		t.Fatalf("child copy byte = %#x, want 0xAB (contents not copied)", got)
-	}
-	pm.Frame.Data()[0] = 0xCD
-	if got := cm.Frame.Data()[0]; got != 0xAB {
-		t.Fatalf("parent write leaked into child copy: %#x", got)
+	for _, eager := range []bool{true, false} {
+		w := newWorld(1)
+		as := vm.New(w.m, w.rc, w.alloc, nil)
+		as.SetForkEager(eager)
+		t.Run(forkName(as), func(t *testing.T) {
+			c := m0(w)
+			must(t, as.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+			must(t, as.Access(c, 100, true))
+			as.Lookup(c, 100).Frame.Data()[0] = 0xAB
+			childSys, err := as.Fork(c)
+			must(t, err)
+			child := childSys.(*vm.AddressSpace)
+			must(t, child.Access(c, 100, true)) // COW break copies the frame
+			cm, pm := child.Lookup(c, 100), as.Lookup(c, 100)
+			if cm.Frame == pm.Frame {
+				t.Fatal("child still maps the parent's frame after its write")
+			}
+			if got := cm.Frame.Data()[0]; got != 0xAB {
+				t.Fatalf("child copy byte = %#x, want 0xAB (contents not copied)", got)
+			}
+			pm.Frame.Data()[0] = 0xCD
+			if got := cm.Frame.Data()[0]; got != 0xAB {
+				t.Fatalf("parent write leaked into child copy: %#x", got)
+			}
+		})
 	}
 }
 
@@ -113,10 +153,10 @@ func TestForkCopiesFrameContents(t *testing.T) {
 // keep writing the same page-cache frame, exactly like two independent
 // mappings of the file.
 func TestForkSharesFileMappings(t *testing.T) {
-	for i := range systems(newWorld(1)) {
+	for i := range forkSystems(newWorld(1)) {
 		w := newWorld(1)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
+		sys := forkSystems(w)[i]
+		t.Run(forkName(sys), func(t *testing.T) {
 			f := vm.NewFile(w.alloc)
 			c := m0(w)
 			must(t, sys.Mmap(c, 500, 2, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite, File: f}))
@@ -128,8 +168,8 @@ func TestForkSharesFileMappings(t *testing.T) {
 			if created := w.alloc.Created(); created != 2 {
 				t.Fatalf("%d frames created, want 2 (file pages stay shared)", created)
 			}
-			must(t, childSys.Munmap(c, 500, 2))
-			must(t, sys.Munmap(c, 500, 2))
+			teardown(t, c, childSys, 500, 2)
+			teardown(t, c, sys, 500, 2)
 			w.quiesce()
 			// The page cache holds the base references.
 			if live := w.alloc.Live(); live != 2 {
@@ -236,10 +276,10 @@ func TestFetchAllSystems(t *testing.T) {
 func TestGangForkVsConcurrentWrite(t *testing.T) {
 	const ncores = 4
 	const lo, npages = uint64(3000), uint64(8)
-	for i := range systems(newWorld(ncores)) {
+	for i := range forkSystems(newWorld(ncores)) {
 		w := newWorld(ncores)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
+		sys := forkSystems(w)[i]
+		t.Run(forkName(sys), func(t *testing.T) {
 			must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			children := make([]vm.System, 0, 20)
 			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
@@ -275,9 +315,9 @@ func TestGangForkVsConcurrentWrite(t *testing.T) {
 				for v := lo; v < lo+npages; v++ {
 					must(t, ch.Access(c, v, true))
 				}
-				must(t, ch.Munmap(c, lo, npages))
+				teardown(t, c, ch, lo, npages)
 			}
-			must(t, sys.Munmap(c, lo, npages))
+			teardown(t, c, sys, lo, npages)
 			w.quiesce()
 			if live := w.alloc.Live(); live != 0 {
 				t.Fatalf("%d frames leaked across %d forks", live, len(children))
@@ -293,10 +333,10 @@ func TestGangForkVsConcurrentWrite(t *testing.T) {
 func TestGangCOWFaultVsMunmap(t *testing.T) {
 	const ncores = 4
 	const lo, npages = uint64(4000), uint64(8)
-	for i := range systems(newWorld(ncores)) {
+	for i := range forkSystems(newWorld(ncores)) {
 		w := newWorld(ncores)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
+		sys := forkSystems(w)[i]
+		t.Run(forkName(sys), func(t *testing.T) {
 			c0 := m0(w)
 			for round := 0; round < 10; round++ {
 				must(t, sys.Mmap(c0, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
@@ -325,6 +365,9 @@ func TestGangCOWFaultVsMunmap(t *testing.T) {
 				if t.Failed() {
 					return
 				}
+				if lazyFork(childSys) {
+					exit(c0, childSys) // drop its links on shared subtrees
+				}
 				must(t, sys.Munmap(c0, lo, npages))
 				w.quiesce()
 				if live := w.alloc.Live(); live != 0 {
@@ -340,10 +383,10 @@ func TestGangCOWFaultVsMunmap(t *testing.T) {
 // family tears down to zero live frames.
 func TestDoubleForkChains(t *testing.T) {
 	const lo, npages = uint64(100), uint64(2)
-	for i := range systems(newWorld(1)) {
+	for i := range forkSystems(newWorld(1)) {
 		w := newWorld(1)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
+		sys := forkSystems(w)[i]
+		t.Run(forkName(sys), func(t *testing.T) {
 			c := m0(w)
 			must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			for v := lo; v < lo+npages; v++ {
@@ -377,7 +420,7 @@ func TestDoubleForkChains(t *testing.T) {
 			}
 			// Everyone exits; refcache balance returns to zero.
 			for _, s := range family {
-				must(t, s.Munmap(c, lo, npages))
+				teardown(t, c, s, lo, npages)
 			}
 			w.quiesce()
 			if live := w.alloc.Live(); live != 0 {

@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"errors"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -19,120 +18,6 @@ func lazySpace(w *world) *vm.AddressSpace {
 // radixvm address space implements.
 func exit(c *hw.CPU, sys vm.System) {
 	sys.(vm.Exiter).Exit(c)
-}
-
-// TestLazyForkCOWSemantics is TestForkCOWSemantics for the generation
-// fork: identical sharing behavior — reads share, first write copies
-// exactly once per side, repeats copy nothing, no stale writable
-// translation survives the fork — with teardown through Exit instead of
-// an O(space) munmap sweep.
-func TestLazyForkCOWSemantics(t *testing.T) {
-	const lo, npages = uint64(100), uint64(4)
-	w := newWorld(2)
-	sys := lazySpace(w)
-	c := m0(w)
-	must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	for v := lo; v < lo+npages; v++ {
-		must(t, sys.Access(c, v, true))
-	}
-	base := w.alloc.Created()
-	childSys, err := sys.Fork(c)
-	must(t, err)
-	if childSys.(*vm.AddressSpace).ForkEager() {
-		t.Fatal("lazy fork's child reverted to eager mode")
-	}
-	// Reads share: no frames materialize.
-	for v := lo; v < lo+npages; v++ {
-		must(t, childSys.Access(c, v, false))
-	}
-	if got := w.alloc.Created() - base; got != 0 {
-		t.Fatalf("child reads created %d frames, want 0 (COW shares)", got)
-	}
-	// First child write of each page copies exactly once; repeats copy
-	// nothing.
-	for v := lo; v < lo+npages; v++ {
-		must(t, childSys.Access(c, v, true))
-		must(t, childSys.Access(c, v, true))
-	}
-	if got := w.alloc.Created() - base; got != int64(npages) {
-		t.Fatalf("child writes created %d frames, want %d (one copy per page)", got, npages)
-	}
-	// The parent's pre-fork writable translations are gone (the wholesale
-	// invalidation): its next write must trap, not sail through.
-	faultsBefore := c.Stats().ProtFaults + c.Stats().PageFaults
-	must(t, sys.Access(c, lo, true))
-	if c.Stats().ProtFaults+c.Stats().PageFaults == faultsBefore {
-		t.Fatal("parent write after lazy fork used a stale writable translation")
-	}
-	// The child privatized everything, so the parent owns its pages: its
-	// writes copy nothing at all.
-	base = w.alloc.Created()
-	for v := lo; v < lo+npages; v++ {
-		must(t, sys.Access(c, v, true))
-	}
-	if got := w.alloc.Created() - base; got != 0 {
-		t.Fatalf("parent (sole owner) writes copied %d frames, want 0", got)
-	}
-	// Teardown through Exit on both sides: nothing leaks.
-	exit(c, childSys)
-	exit(c, sys)
-	w.quiesce()
-	if live := w.alloc.Live(); live != 0 {
-		t.Fatalf("%d frames leaked after parent+child Exit", live)
-	}
-}
-
-// TestLazyForkCopiesFrameContents: the data half of a COW break still
-// holds under deferred COW arming — the child's copy carries the parent's
-// bytes, later parent writes stay invisible.
-func TestLazyForkCopiesFrameContents(t *testing.T) {
-	w := newWorld(1)
-	as := lazySpace(w)
-	c := m0(w)
-	must(t, as.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	must(t, as.Access(c, 100, true))
-	pm := as.Lookup(c, 100)
-	pm.Frame.Data()[0] = 0xAB
-	childSys, err := as.Fork(c)
-	must(t, err)
-	child := childSys.(*vm.AddressSpace)
-	must(t, child.Access(c, 100, true)) // diverge + COW break
-	cm := child.Lookup(c, 100)
-	pm = as.Lookup(c, 100)
-	if cm.Frame == pm.Frame {
-		t.Fatal("child still maps the parent's frame after its write")
-	}
-	if got := cm.Frame.Data()[0]; got != 0xAB {
-		t.Fatalf("child copy byte = %#x, want 0xAB (contents not copied)", got)
-	}
-	pm.Frame.Data()[0] = 0xCD
-	if got := cm.Frame.Data()[0]; got != 0xAB {
-		t.Fatalf("parent write leaked into child copy: %#x", got)
-	}
-}
-
-// TestLazyForkSharesFileMappings: file-backed pages stay page-cache-shared
-// across a lazy fork, exactly as across an eager one.
-func TestLazyForkSharesFileMappings(t *testing.T) {
-	w := newWorld(1)
-	sys := lazySpace(w)
-	f := vm.NewFile(w.alloc)
-	c := m0(w)
-	must(t, sys.Mmap(c, 500, 2, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite, File: f}))
-	must(t, sys.Access(c, 500, true))
-	childSys, err := sys.Fork(c)
-	must(t, err)
-	must(t, childSys.Access(c, 500, true)) // a write, not a COW break
-	must(t, childSys.Access(c, 501, true)) // child faults the file page itself
-	if created := w.alloc.Created(); created != 2 {
-		t.Fatalf("%d frames created, want 2 (file pages stay shared)", created)
-	}
-	exit(c, childSys)
-	exit(c, sys)
-	w.quiesce()
-	if live := w.alloc.Live(); live != 2 {
-		t.Fatalf("live = %d after both exits, want 2 (page cache refs)", live)
-	}
 }
 
 // TestLazyForkIsO1VirtualTime: the tentpole property at the VM level — on
@@ -224,148 +109,5 @@ func TestExitEagerSpace(t *testing.T) {
 	w.quiesce()
 	if live := w.alloc.Live(); live != 0 {
 		t.Fatalf("%d frames leaked after Exits", live)
-	}
-}
-
-// TestLazyGangForkVsConcurrentWrite is TestGangForkVsConcurrentWrite in
-// lazy mode: repeated generation forks race parent writes from the other
-// gang members. Every access must succeed, every child must be internally
-// consistent (the fault-path epoch validation covers the invalidation
-// race), and after all children exit nothing leaks.
-func TestLazyGangForkVsConcurrentWrite(t *testing.T) {
-	const ncores = 4
-	const lo, npages = uint64(3000), uint64(8)
-	w := newWorld(ncores)
-	sys := lazySpace(w)
-	must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	children := make([]vm.System, 0, 20)
-	hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		if c.ID() == 0 {
-			for k := 0; k < 20; k++ {
-				ch, err := sys.Fork(c)
-				if err != nil {
-					t.Errorf("fork %d: %v", k, err)
-					return
-				}
-				children = append(children, ch)
-				w.rc.Maintain(c)
-				g.Sync(c)
-			}
-			return
-		}
-		for k := 0; k < 60; k++ {
-			v := lo + uint64(k)%npages
-			if err := sys.Access(c, v, true); err != nil {
-				t.Errorf("core %d: parent write during lazy fork: %v", c.ID(), err)
-				return
-			}
-			w.rc.Maintain(c)
-			g.Sync(c)
-		}
-	})
-	if t.Failed() {
-		return
-	}
-	c := m0(w)
-	for _, ch := range children {
-		for v := lo; v < lo+npages; v++ {
-			must(t, ch.Access(c, v, true))
-		}
-		exit(c, ch)
-	}
-	exit(c, sys)
-	w.quiesce()
-	if live := w.alloc.Live(); live != 0 {
-		t.Fatalf("%d frames leaked across %d lazy forks", live, len(children))
-	}
-}
-
-// TestLazyGangCOWFaultVsMunmap races COW breaks in a lazy child against a
-// concurrent munmap of the child's range: an access may succeed or report
-// ErrSegv, never anything else, and no frame may leak.
-func TestLazyGangCOWFaultVsMunmap(t *testing.T) {
-	const ncores = 4
-	const lo, npages = uint64(4000), uint64(8)
-	w := newWorld(ncores)
-	sys := lazySpace(w)
-	c0 := m0(w)
-	for round := 0; round < 10; round++ {
-		must(t, sys.Mmap(c0, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-		for v := lo; v < lo+npages; v++ {
-			must(t, sys.Access(c0, v, true))
-		}
-		childSys, err := sys.Fork(c0)
-		must(t, err)
-		hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
-			if c.ID() == 0 {
-				c.Tick(uint64(500 * (round + 1)))
-				mustT(t, childSys.Munmap(c, lo, npages))
-				g.Sync(c)
-				return
-			}
-			for k := 0; k < 30; k++ {
-				v := lo + uint64(k)%npages
-				if err := childSys.Access(c, v, true); err != nil && !errors.Is(err, vm.ErrSegv) {
-					t.Errorf("core %d: COW write vs munmap: %v", c.ID(), err)
-					return
-				}
-				w.rc.Maintain(c)
-				g.Sync(c)
-			}
-		})
-		if t.Failed() {
-			return
-		}
-		exit(c0, childSys)
-		must(t, sys.Munmap(c0, lo, npages))
-		w.quiesce()
-		if live := w.alloc.Live(); live != 0 {
-			t.Fatalf("round %d: %d frames leaked", round, live)
-		}
-	}
-}
-
-// TestLazyDoubleForkChains: generation forks a few levels deep — every
-// level shares until written, the deepest child's writes copy exactly
-// once, and the whole family exits to zero live frames.
-func TestLazyDoubleForkChains(t *testing.T) {
-	const lo, npages = uint64(100), uint64(2)
-	w := newWorld(1)
-	sys := lazySpace(w)
-	c := m0(w)
-	must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	for v := lo; v < lo+npages; v++ {
-		must(t, sys.Access(c, v, true))
-	}
-	family := []vm.System{sys}
-	cur := vm.System(sys)
-	for gen := 0; gen < 3; gen++ {
-		ch, err := cur.Fork(c)
-		must(t, err)
-		family = append(family, ch)
-		cur = ch
-	}
-	base := w.alloc.Created()
-	for _, s := range family {
-		for v := lo; v < lo+npages; v++ {
-			must(t, s.Access(c, v, false))
-		}
-	}
-	if got := w.alloc.Created() - base; got != 0 {
-		t.Fatalf("chain reads created %d frames, want 0", got)
-	}
-	for v := lo; v < lo+npages; v++ {
-		must(t, cur.Access(c, v, true))
-		must(t, cur.Access(c, v, true))
-	}
-	if got := w.alloc.Created() - base; got != int64(npages) {
-		t.Fatalf("deepest child writes created %d frames, want %d", got, npages)
-	}
-	for _, s := range family {
-		exit(c, s)
-	}
-	w.quiesce()
-	if live := w.alloc.Live(); live != 0 {
-		t.Fatalf("%d frames leaked after the lazy fork chain exited", live)
 	}
 }
