@@ -82,7 +82,8 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	nt := treeShell(t.m, t.rc, t.clone, t.kind)
 	nt.onDiverge = t.onDiverge
 	nt.onRelease = t.onRelease
-	root, arrive, _ := nt.copyNode(cpu, t.root, 1, nt.onDiverge, true, nil) // +1: the root's immortal ref
+	// +1: the root's immortal ref.
+	root, arrive, _ := nt.copyNode(cpu, t.root, 1, nt.onDiverge, true, nil)
 	nt.root = root
 	// Re-adopt the parent root into the new generation while all of its
 	// bits are still held: after the bits release, any descent from the
